@@ -13,53 +13,45 @@ module Layout = struct
   }
 
   let create () = { n_ints = 0; n_floats = 0; n_views = 0; scopes = [ Hashtbl.create 8 ] }
-  let enter_scope t = t.scopes <- Hashtbl.create 8 :: t.scopes
 
-  let leave_scope t =
-    match t.scopes with
-    | [] | [ _ ] -> invalid_arg "Frame.Layout.leave_scope: no scope to leave"
-    | _ :: rest -> t.scopes <- rest
+  let scoped t f =
+    let outer = t.scopes in
+    t.scopes <- Hashtbl.create 8 :: outer;
+    Fun.protect ~finally:(fun () -> t.scopes <- outer) f
+
+  let reserve t = function
+    | Ast.Tint ->
+        t.n_ints <- t.n_ints + 1;
+        Int_slot (t.n_ints - 1)
+    | Ast.Tdouble ->
+        t.n_floats <- t.n_floats + 1;
+        Float_slot (t.n_floats - 1)
+    | Ast.Tarray _ ->
+        t.n_views <- t.n_views + 1;
+        View_slot (t.n_views - 1)
+    | Ast.Tvoid -> invalid_arg "Frame.Layout.reserve: void slot"
 
   let declare t loc name ty =
-    let scope = match t.scopes with [] -> assert false | s :: _ -> s in
+    let scope = List.hd t.scopes in
     if Hashtbl.mem scope name then Loc.error loc "redeclaration of %s" name;
-    let slot =
-      match ty with
-      | Ast.Tint ->
-          let s = Int_slot t.n_ints in
-          t.n_ints <- t.n_ints + 1;
-          s
-      | Ast.Tdouble ->
-          let s = Float_slot t.n_floats in
-          t.n_floats <- t.n_floats + 1;
-          s
-      | Ast.Tarray _ ->
-          let s = View_slot t.n_views in
-          t.n_views <- t.n_views + 1;
-          s
-      | Ast.Tvoid -> Loc.error loc "void variable %s" name
-    in
+    if ty = Ast.Tvoid then Loc.error loc "void variable %s" name;
+    let slot = reserve t ty in
     Hashtbl.replace scope name (slot, ty);
     slot
 
-  let lookup t name =
-    let rec go = function
-      | [] -> None
-      | scope :: rest -> (
-          match Hashtbl.find_opt scope name with Some v -> Some v | None -> go rest)
-    in
-    go t.scopes
+  let snapshot t =
+    let merged = Hashtbl.create 16 in
+    List.iter (Hashtbl.iter (Hashtbl.replace merged)) (List.rev t.scopes);
+    { t with scopes = [ merged ] }
 
-  let int_bank_size t = t.n_ints
-  let float_bank_size t = t.n_floats
-  let view_bank_size t = t.n_views
+  let lookup t name = List.find_map (fun scope -> Hashtbl.find_opt scope name) t.scopes
 end
 
 let create (layout : Layout.t) =
   {
-    ints = Array.make (max 1 (Layout.int_bank_size layout)) 0;
-    floats = Array.make (max 1 (Layout.float_bank_size layout)) 0.0;
-    views = Array.make (max 1 (Layout.view_bank_size layout)) None;
+    ints = Array.make (max 1 layout.Layout.n_ints) 0;
+    floats = Array.make (max 1 layout.Layout.n_floats) 0.0;
+    views = Array.make (max 1 layout.Layout.n_views) None;
   }
 
 let set_view t slot v =

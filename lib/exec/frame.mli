@@ -1,8 +1,9 @@
 (** Execution frames with compile-time slot assignment.
 
-    The kernel compiler resolves every variable to a fixed slot in a typed
-    bank (ints, floats, views) at compile time, so executing an iteration
-    involves no name lookups. A {!Layout.t} is threaded through compilation
+    The closure compiler resolves every variable to a fixed slot in a typed
+    bank (ints, floats, views) at compile time, so executing code involves
+    no name lookups. A kernel gets one frame per launch; host code gets one
+    per function call. A {!Layout.t} is threaded through compilation
     to assign slots lexically; {!create} then instantiates a frame of the
     final size. *)
 
@@ -16,19 +17,23 @@ module Layout : sig
   type t
 
   val create : unit -> t
-  val enter_scope : t -> unit
-  val leave_scope : t -> unit
+
+  val scoped : t -> (unit -> 'a) -> 'a
+  (** [scoped t f] runs [f] with a fresh innermost scope, left afterwards. *)
 
   val declare : t -> Loc.t -> string -> Ast.typ -> slot
   (** Assign a fresh slot; raises {!Loc.Error} on redeclaration in the same
       scope or on a [void] declaration. *)
 
+  val reserve : t -> Ast.typ -> slot
+  (** A fresh slot no name resolves to (a function's return value). *)
+
   val lookup : t -> string -> (slot * Ast.typ) option
   (** Innermost-scope-first lookup. *)
 
-  val int_bank_size : t -> int
-  val float_bank_size : t -> int
-  val view_bank_size : t -> int
+  val snapshot : t -> t
+  (** The names visible now, frozen into a one-scope layout: later
+      declarations in [t] do not show through it. *)
 end
 
 val create : Layout.t -> t

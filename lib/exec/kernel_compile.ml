@@ -2,6 +2,7 @@ open Mgacc_minic
 open Ast
 module Cost = Mgacc_gpusim.Cost
 module Coalesce = Mgacc_analysis.Coalesce
+module Loop_info = Mgacc_analysis.Loop_info
 
 type t = {
   run_iter : Frame.t -> int -> unit;
@@ -12,6 +13,7 @@ type t = {
 
 exception Brk
 exception Cnt
+exception Return
 
 (* ------------------------------------------------------------------ *)
 (* Reduction statement decomposition.                                  *)
@@ -48,6 +50,44 @@ let extract_reduction op stmt =
   | _ -> Loc.error loc "reductiontoarray must annotate an assignment into an array element"
 
 (* ------------------------------------------------------------------ *)
+(* Host context.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type env = {
+  host : host;
+  frame : Frame.t;
+  scope : Frame.Layout.t;
+  seq : (Loc.t * (Frame.t -> unit)) option;
+}
+
+and hooks = {
+  on_parallel_loop : env -> Loop_info.t -> unit;
+  on_data_enter : env -> clause list -> unit;
+  on_data_exit : env -> clause list -> unit;
+  on_update_host : env -> subarray list -> unit;
+  on_update_device : env -> subarray list -> unit;
+}
+
+and host = {
+  prog : program;
+  hooks : hooks;
+  fns : (string, fn) Hashtbl.t;
+  loop_ids : (Loc.t, int) Hashtbl.t;
+  mutable next_loop_id : int;
+  sink : Cost.t;  (** host code is never charged to the model *)
+}
+
+(* A user function: its parameters and return value live in slots of a
+   layout of its own, and every call runs in a fresh frame of it. The body
+   compiles on first call, so recursion finds the header in place. *)
+and fn = {
+  fn_layout : Frame.Layout.t;
+  fn_params : Frame.slot list;
+  fn_ret : Frame.slot option;
+  fn_body : (Frame.t -> unit) Lazy.t;
+}
+
+(* ------------------------------------------------------------------ *)
 (* Compilation context.                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -55,22 +95,27 @@ type ctx = {
   layout : Frame.Layout.t;
   cost : Cost.t;
   classify : string -> Ast.expr -> Coalesce.mode;
+  host_ctx : host option;  (** [None] compiles a kernel body *)
+  ret : Frame.slot option;  (** the enclosing function's return slot *)
 }
 
+let host_classify _ _ = Coalesce.Coalesced
+
 let ty_of ctx e =
-  Typecheck.type_of_expr
-    (fun v -> Option.map snd (Frame.Layout.lookup ctx.layout v))
-    e
+  let lookup v = Option.map snd (Frame.Layout.lookup ctx.layout v) in
+  match ctx.host_ctx with
+  | Some host -> Typecheck.type_of_expr_in host.prog lookup e
+  | None -> Typecheck.type_of_expr lookup e
 
 let slot_of ctx loc v =
   match Frame.Layout.lookup ctx.layout v with
   | Some (slot, ty) -> (slot, ty)
-  | None -> Loc.error loc "kernel compilation: unbound variable %s" v
+  | None -> Loc.error loc "compilation: unbound variable %s" v
 
 let view_slot_of ctx loc a =
   match slot_of ctx loc a with
   | Frame.View_slot i, Tarray elem -> (i, elem)
-  | _ -> Loc.error loc "kernel compilation: %s is not an array" a
+  | _ -> Loc.error loc "compilation: %s is not an array" a
 
 (* Cost charge for one access of [width] bytes at the given site mode. *)
 let charge ctx mode width =
@@ -82,6 +127,52 @@ let charge ctx mode width =
       fun () ->
         cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
         cost.Cost.random_bytes <- cost.Cost.random_bytes + width
+
+let int_index = function Frame.Int_slot i -> i | _ -> assert false
+
+(* An iteration body run under a parallel loop: break/continue cannot leave
+   it. *)
+let iteration loc body fr =
+  try body fr
+  with Brk | Cnt -> Loc.error loc "break/continue escaping a parallel loop iteration"
+
+let loop_id_for host loc =
+  match Hashtbl.find_opt host.loop_ids loc with
+  | Some id -> id
+  | None ->
+      let id = host.next_loop_id in
+      host.next_loop_id <- id + 1;
+      Hashtbl.replace host.loop_ids loc id;
+      id
+
+let nop : Frame.t -> unit = fun _ -> ()
+
+let seq fs =
+  match fs with
+  | [] -> nop
+  | [ f ] -> f
+  | fs ->
+      let arr = Array.of_list fs in
+      fun fr -> Array.iter (fun f -> f fr) arr
+
+let apply_binop_assign_int loc op =
+  match op with
+  | Set -> fun _ rhs -> rhs
+  | Add_set -> ( + )
+  | Sub_set -> ( - )
+  | Mul_set -> ( * )
+  | Div_set ->
+      fun a b ->
+        if b = 0 then Loc.error loc "integer division by zero";
+        a / b
+
+let apply_binop_assign_float op =
+  match op with
+  | Set -> fun _ rhs -> rhs
+  | Add_set -> ( +. )
+  | Sub_set -> ( -. )
+  | Mul_set -> ( *. )
+  | Div_set -> ( /. )
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation.                                             *)
@@ -133,28 +224,28 @@ and comp_f_native ctx e : Frame.t -> float =
       | Mod | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor | Band | Bor | Bxor | Shl | Shr ->
           assert false (* typed Tint *))
   | Ternary (c, a, b) ->
-      let cc = comp_i ctx c and fa = comp_f ctx a and fb = comp_f ctx b in
+      let cc = comp_cond ctx c and fa = comp_f ctx a and fb = comp_f ctx b in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then fa fr else fb fr
+        if cc fr then fa fr else fb fr
   | Call (name, args) -> (
       match Builtins.find name with
-      | Some b when b.Builtins.result = Tdouble -> (
+      | Some b -> (
           let flops = b.Builtins.flops in
-          match List.map (comp_f ctx) args with
-          | [ a1 ] ->
-              let g = (fun x -> Builtins.apply_double name [ x ]) in
+          match (b.Builtins.fn, List.map (comp_f ctx) args) with
+          | Builtins.F1 g, [ a1 ] ->
               fun fr ->
                 cost.Cost.flops <- cost.Cost.flops + flops;
                 g (a1 fr)
-          | [ a1; a2 ] ->
-              let g = (fun x y -> Builtins.apply_double name [ x; y ]) in
+          | Builtins.F2 g, [ a1; a2 ] ->
               fun fr ->
                 cost.Cost.flops <- cost.Cost.flops + flops;
                 g (a1 fr) (a2 fr)
           | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
-      | Some _ -> assert false (* int builtin: typed Tint *)
-      | None -> Loc.error e.eloc "user function calls are not allowed in kernels: %s" name)
+      | None -> (
+          match comp_call ctx e.eloc name args ~in_expr:true with
+          | Some (Frame.Float_slot k), call -> fun fr -> Array.unsafe_get (call fr).Frame.floats k
+          | _ -> assert false (* typed Tdouble *)))
   | Int_lit _ | Length _ -> assert false (* typed Tint *)
 
 and comp_i ctx e : Frame.t -> int =
@@ -190,20 +281,6 @@ and comp_i_native ctx e : Frame.t -> int =
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
         -f fr
-  | Unop (Not, x) ->
-      let t = ty_of ctx x in
-      if t = Tdouble then begin
-        let f = comp_f ctx x in
-        fun fr ->
-          cost.Cost.flops <- cost.Cost.flops + 1;
-          if f fr = 0.0 then 1 else 0
-      end
-      else begin
-        let f = comp_i ctx x in
-        fun fr ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if f fr = 0 then 1 else 0
-      end
   | Unop (Bit_not, x) ->
       let f = comp_i ctx x in
       fun fr ->
@@ -218,9 +295,63 @@ and comp_i_native ctx e : Frame.t -> int =
             int_of_float (f fr)
       | _ -> comp_i ctx x)
   | Unop (Cast_double, _) -> assert false (* typed Tdouble *)
+  | Unop (Not, _) | Binop ((Eq | Ne | Lt | Le | Gt | Ge | Land | Lor), _, _) ->
+      let c = comp_cond ctx e in
+      fun fr -> if c fr then 1 else 0
+  | Binop (op, x, y) -> (
+      let fx = comp_i ctx x and fy = comp_i ctx y in
+      let arith op2 =
+        fun fr ->
+          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+          op2 (fx fr) (fy fr)
+      in
+      let nonzero what op2 a b =
+        if b = 0 then Loc.error e.eloc "integer %s by zero" what;
+        op2 a b
+      in
+      match op with
+      | Add -> arith ( + )
+      | Sub -> arith ( - )
+      | Mul -> arith ( * )
+      | Div -> arith (nonzero "division" ( / ))
+      | Mod -> arith (nonzero "modulo" ( mod ))
+      | Band -> arith ( land )
+      | Bor -> arith ( lor )
+      | Bxor -> arith ( lxor )
+      | Shl -> arith ( lsl )
+      | Shr -> arith ( asr )
+      | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> assert false)
+  | Ternary (c, a, b) ->
+      let cc = comp_cond ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
+      fun fr ->
+        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+        if cc fr then fa fr else fb fr
+  | Call (name, args) -> (
+      match Builtins.find name with
+      | Some b -> (
+          let flops = b.Builtins.flops in
+          match (b.Builtins.fn, List.map (comp_i ctx) args) with
+          | Builtins.I1 g, [ a1 ] ->
+              fun fr ->
+                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
+                g (a1 fr)
+          | Builtins.I2 g, [ a1; a2 ] ->
+              fun fr ->
+                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
+                g (a1 fr) (a2 fr)
+          | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
+      | None -> (
+          match comp_call ctx e.eloc name args ~in_expr:true with
+          | Some (Frame.Int_slot k), call -> fun fr -> Array.unsafe_get (call fr).Frame.ints k
+          | _ -> assert false (* typed Tint *)))
+  | Float_lit _ -> assert false (* typed Tdouble *)
+
+(* A condition tested the C way: a double is true when it is non-zero. *)
+and comp_cond ctx e : Frame.t -> bool =
+  let cost = ctx.cost in
+  match e.edesc with
   | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y) ->
-      let tx = ty_of ctx x and ty_ = ty_of ctx y in
-      if tx = Tdouble || ty_ = Tdouble then begin
+      if ty_of ctx x = Tdouble || ty_of ctx y = Tdouble then begin
         let fx = comp_f ctx x and fy = comp_f ctx y in
         let cmp : float -> float -> bool =
           match op with
@@ -234,7 +365,7 @@ and comp_i_native ctx e : Frame.t -> int =
         in
         fun fr ->
           cost.Cost.flops <- cost.Cost.flops + 1;
-          if cmp (fx fr) (fy fr) then 1 else 0
+          cmp (fx fr) (fy fr)
       end
       else begin
         let fx = comp_i ctx x and fy = comp_i ctx y in
@@ -250,114 +381,156 @@ and comp_i_native ctx e : Frame.t -> int =
         in
         fun fr ->
           cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if cmp (fx fr) (fy fr) then 1 else 0
+          cmp (fx fr) (fy fr)
       end
   | Binop (Land, x, y) ->
-      let fx = comp_i ctx x and fy = comp_i ctx y in
+      let cx = comp_cond ctx x and cy = comp_cond ctx y in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr <> 0 && fy fr <> 0 then 1 else 0
+        cx fr && cy fr
   | Binop (Lor, x, y) ->
-      let fx = comp_i ctx x and fy = comp_i ctx y in
+      let cx = comp_cond ctx x and cy = comp_cond ctx y in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr <> 0 || fy fr <> 0 then 1 else 0
-  | Binop (op, x, y) -> (
-      let fx = comp_i ctx x and fy = comp_i ctx y in
-      let arith op2 =
+        cx fr || cy fr
+  | Unop (Not, x) ->
+      if ty_of ctx x = Tdouble then begin
+        let f = comp_f ctx x in
+        fun fr ->
+          cost.Cost.flops <- cost.Cost.flops + 1;
+          f fr = 0.0
+      end
+      else begin
+        let c = comp_cond ctx x in
         fun fr ->
           cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          op2 (fx fr) (fy fr)
+          not (c fr)
+      end
+  | _ -> (
+      match ty_of ctx e with
+      | Tdouble ->
+          let f = comp_f_native ctx e in
+          fun fr -> f fr <> 0.0
+      | _ ->
+          let f = comp_i ctx e in
+          fun fr -> f fr <> 0)
+
+(* A user-function call (host code only). The closure evaluates the
+   arguments into a fresh callee frame — scalars by value, arrays by view —
+   runs the body, and yields the callee frame, whose return slot is the
+   first component. A value is required [in_expr]. *)
+and comp_call ctx loc name args ~in_expr =
+  match ctx.host_ctx with
+  | None -> Loc.error loc "user function calls are not allowed in kernels: %s" name
+  | Some host ->
+      let fn = fn_of host loc name in
+      if List.length args <> List.length fn.fn_params then
+        Loc.error loc "function %s: arity mismatch" name;
+      let binds = Array.of_list (List.map2 (comp_arg ctx) fn.fn_params args) in
+      ( fn.fn_ret,
+        fun fr ->
+          let body = Lazy.force fn.fn_body in
+          let callee = Frame.create fn.fn_layout in
+          Array.iter (fun bind -> bind fr callee) binds;
+          match body callee with
+          | () when in_expr -> Loc.error loc "void function %s used in an expression" name
+          | () | (exception Return) -> callee )
+
+and comp_arg ctx slot (arg : expr) : Frame.t -> Frame.t -> unit =
+  match slot with
+  | Frame.View_slot k -> (
+      match arg.edesc with
+      | Var a ->
+          let vi, _ = view_slot_of ctx arg.eloc a in
+          fun fr callee -> callee.Frame.views.(k) <- fr.Frame.views.(vi)
+      | _ -> Loc.error arg.eloc "array argument must be an array name")
+  | Frame.Int_slot k ->
+      let f = comp_i ctx arg in
+      fun fr callee -> Array.unsafe_set callee.Frame.ints k (f fr)
+  | Frame.Float_slot k ->
+      let f = comp_f ctx arg in
+      fun fr callee -> Array.unsafe_set callee.Frame.floats k (f fr)
+
+and fn_of host loc name =
+  match Hashtbl.find_opt host.fns name with
+  | Some fn -> fn
+  | None ->
+      let f =
+        match find_func host.prog name with
+        | Some f -> f
+        | None -> Loc.error loc "call to undefined function %s" name
       in
-      match op with
-      | Add -> arith ( + )
-      | Sub -> arith ( - )
-      | Mul -> arith ( * )
-      | Div -> arith ( / )
-      | Mod -> arith (fun a b -> a mod b)
-      | Band -> arith ( land )
-      | Bor -> arith ( lor )
-      | Bxor -> arith ( lxor )
-      | Shl -> arith ( lsl )
-      | Shr -> arith ( asr )
-      | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> assert false)
-  | Ternary (c, a, b) ->
-      let cc = comp_i ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
-      fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then fa fr else fb fr
-  | Call (name, args) -> (
-      match Builtins.find name with
-      | Some b when b.Builtins.result = Tint -> (
-          let flops = b.Builtins.flops in
-          match List.map (comp_i ctx) args with
-          | [ a1 ] ->
-              fun fr ->
-                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
-                Builtins.apply_int name [ a1 fr ]
-          | [ a1; a2 ] ->
-              fun fr ->
-                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
-                Builtins.apply_int name [ a1 fr; a2 fr ]
-          | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
-      | Some _ -> assert false
-      | None -> Loc.error e.eloc "user function calls are not allowed in kernels: %s" name)
-  | Float_lit _ -> assert false (* typed Tdouble *)
+      let layout = Frame.Layout.create () in
+      let ret =
+        match f.fret with
+        | (Tint | Tdouble) as ty -> Some (Frame.Layout.reserve layout ty)
+        | Tvoid | Tarray _ -> None
+      in
+      (* Parameters and the body's top-level names share one scope. *)
+      let params =
+        List.map (fun p -> Frame.Layout.declare layout f.floc p.param_name p.param_ty) f.fparams
+      in
+      let ctx = { layout; cost = host.sink; classify = host_classify; host_ctx = Some host; ret } in
+      let fn =
+        {
+          fn_layout = layout;
+          fn_params = params;
+          fn_ret = ret;
+          fn_body = lazy (comp_block_no_scope ctx f.fbody);
+        }
+      in
+      Hashtbl.replace host.fns name fn;
+      fn
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let nop : Frame.t -> unit = fun _ -> ()
+(* In host code a statement that cannot compile fails only if it executes,
+   so code that never runs cannot stop a program; a kernel body is rejected
+   as a whole. *)
+and comp_stmt ctx s : Frame.t -> unit =
+  match ctx.host_ctx with
+  | None -> comp_stmt_exn ctx s
+  | Some _ -> ( try comp_stmt_exn ctx s with Loc.Error _ as err -> fun _ -> raise err)
 
-let seq fs =
-  match fs with
-  | [] -> nop
-  | [ f ] -> f
-  | fs ->
-      let arr = Array.of_list fs in
-      fun fr -> Array.iter (fun f -> f fr) arr
-
-let apply_binop_assign_int op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( + )
-  | Sub_set -> ( - )
-  | Mul_set -> ( * )
-  | Div_set -> ( / )
-
-let apply_binop_assign_float op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( +. )
-  | Sub_set -> ( -. )
-  | Mul_set -> ( *. )
-  | Div_set -> ( /. )
-
-let rec comp_stmt ctx s : Frame.t -> unit =
+and comp_stmt_exn ctx s : Frame.t -> unit =
   let cost = ctx.cost in
   match s.sdesc with
   | Sdecl (ty, name, init) -> (
-      let slot = Frame.Layout.declare ctx.layout s.sloc name ty in
-      match (ty, slot, init) with
-      | Tint, Frame.Int_slot i, None -> fun fr -> Array.unsafe_set fr.Frame.ints i 0
-      | Tint, Frame.Int_slot i, Some e ->
-          let f = comp_i ctx e in
-          fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
-      | Tdouble, Frame.Float_slot i, None -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
-      | Tdouble, Frame.Float_slot i, Some e ->
-          let f = comp_f ctx e in
-          fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
-      | _ -> Loc.error s.sloc "unsupported declaration in kernel")
-  | Sarray_decl (_, name, _) ->
-      Loc.error s.sloc "array declaration of %s not allowed inside a kernel" name
+      (* The initializer sees the enclosing scope, not the new name. *)
+      let zero = if ty = Tint then Int_lit 0 else Float_lit 0.0 in
+      let init = Option.value init ~default:{ edesc = zero; eloc = s.sloc } in
+      if ty = Tint then begin
+        let f = comp_i ctx init in
+        let i = int_index (Frame.Layout.declare ctx.layout s.sloc name ty) in
+        fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
+      end
+      else
+        let f = comp_f ctx init in
+        match Frame.Layout.declare ctx.layout s.sloc name ty with
+        | Frame.Float_slot i -> fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
+        | _ -> Loc.error s.sloc "unsupported declaration of %s" name)
+  | Sarray_decl (elem, name, len) -> (
+      if ctx.host_ctx = None then
+        Loc.error s.sloc "array declaration of %s not allowed inside a kernel" name;
+      let n = comp_i ctx len in
+      let slot = Frame.Layout.declare ctx.layout s.sloc name (Tarray elem) in
+      let bind fr make =
+        let n = n fr in
+        if n < 0 then Loc.error s.sloc "negative array length for %s" name;
+        Frame.set_view fr slot (make n)
+      in
+      match elem with
+      | Eint -> fun fr -> bind fr (fun n -> View.of_int_array ~name (Array.make n 0))
+      | Edouble -> fun fr -> bind fr (fun n -> View.of_float_array ~name (Array.make n 0.0)))
   | Sassign (Lvar v, op, rhs) -> (
       match slot_of ctx s.sloc v with
       | Frame.Int_slot i, _ ->
           let f = comp_i ctx rhs in
           if op = Set then fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
           else
-            let g = apply_binop_assign_int op in
+            let g = apply_binop_assign_int s.sloc op in
             fun fr ->
               cost.Cost.int_ops <- cost.Cost.int_ops + 1;
               Array.unsafe_set fr.Frame.ints i (g (Array.unsafe_get fr.Frame.ints i) (f fr))
@@ -399,7 +572,7 @@ let rec comp_stmt ctx s : Frame.t -> unit =
               bump_w ();
               (Frame.get_view fr vi).View.set_i (ci fr) (f fr)
           else
-            let g = apply_binop_assign_int op in
+            let g = apply_binop_assign_int s.sloc op in
             let bump_r = charge ctx (ctx.classify a idx) width in
             fun fr ->
               cost.Cost.int_ops <- cost.Cost.int_ops + 1;
@@ -409,8 +582,12 @@ let rec comp_stmt ctx s : Frame.t -> unit =
               let i = ci fr in
               view.View.set_i i (g (view.View.get_i i) (f fr)))
   | Sincr (lv, d) ->
-      comp_stmt ctx
+      comp_stmt_exn ctx
         { s with sdesc = Sassign (lv, Add_set, { edesc = Int_lit d; eloc = s.sloc }) }
+  | Sexpr { edesc = Call (name, args); eloc } when not (Builtins.is_builtin name) ->
+      (* Calls to void user functions are legal as statements. *)
+      let _, call = comp_call ctx eloc name args ~in_expr:false in
+      fun fr -> ignore (call fr)
   | Sexpr e ->
       let t = ty_of ctx e in
       if t = Tdouble then begin
@@ -422,53 +599,76 @@ let rec comp_stmt ctx s : Frame.t -> unit =
         fun fr -> ignore (f fr)
       end
   | Sif (c, then_, else_) ->
-      let cc = comp_i ctx c in
+      let cc = comp_cond ctx c in
       let ct = comp_block ctx then_ and ce = comp_block ctx else_ in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then ct fr else ce fr
+        if cc fr then ct fr else ce fr
   | Swhile (c, body) ->
-      let cc = comp_i ctx c in
+      let cc = comp_cond ctx c in
       let cb = comp_block ctx body in
       fun fr ->
         (try
            while
              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-             cc fr <> 0
+             cc fr
            do
              try cb fr with Cnt -> ()
            done
          with Brk -> ())
   | Sfor (hdr, body) ->
-      Frame.Layout.enter_scope ctx.layout;
-      let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
-      let cond = match hdr.for_cond with Some e -> comp_i ctx e | None -> fun _ -> 1 in
-      let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
-      let cb = comp_block_no_scope ctx body in
-      Frame.Layout.leave_scope ctx.layout;
+      let init, cond, update, cb =
+        Frame.Layout.scoped ctx.layout (fun () ->
+            let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
+            let cond = match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true in
+            let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
+            (init, cond, update, comp_block_no_scope ctx body))
+      in
       fun fr ->
         init fr;
         (try
            while
              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-             cond fr <> 0
+             cond fr
            do
              (try cb fr with Cnt -> ());
              update fr
            done
          with Brk -> ())
-  | Sreturn _ -> Loc.error s.sloc "return is not allowed inside a kernel"
+  | Sreturn e -> (
+      match (ctx.host_ctx, e, ctx.ret) with
+      | None, _, _ -> Loc.error s.sloc "return is not allowed inside a kernel"
+      | Some _, None, _ -> fun _ -> raise Return
+      | Some _, Some e, Some (Frame.Int_slot k) ->
+          let f = comp_i ctx e in
+          fun fr ->
+            Array.unsafe_set fr.Frame.ints k (f fr);
+            raise Return
+      | Some _, Some e, Some (Frame.Float_slot k) ->
+          let f = comp_f ctx e in
+          fun fr ->
+            Array.unsafe_set fr.Frame.floats k (f fr);
+            raise Return
+      | Some _, Some _, _ -> Loc.error s.sloc "return with value in void function")
   | Sbreak -> fun _ -> raise Brk
   | Scontinue -> fun _ -> raise Cnt
   | Sblock body -> comp_block ctx body
-  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) ->
+  | Spragma (d, inner) -> (
+      match ctx.host_ctx with
+      | Some host -> comp_host_pragma ctx host s d inner
+      | None -> comp_kernel_pragma ctx s d inner)
+
+and comp_kernel_pragma ctx s d inner =
+  let cost = ctx.cost in
+  match d with
+  | Dreduction_to_array { rta_op; rta_array } -> (
       let idx, contrib = extract_reduction rta_op inner in
       let vi, elem = view_slot_of ctx s.sloc rta_array in
       let ci = comp_i ctx idx in
       let width = elem_ty_size elem in
       (* A reduction update behaves like an atomic scatter: charge one
          transaction plus the combine op. *)
-      (match elem with
+      match elem with
       | Edouble ->
           let cf = comp_f ctx contrib in
           fun fr ->
@@ -483,46 +683,139 @@ let rec comp_stmt ctx s : Frame.t -> unit =
             cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
             cost.Cost.random_bytes <- cost.Cost.random_bytes + width;
             (Frame.get_view fr vi).View.reduce_i rta_op (ci fr) (cf fr))
-  | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) ->
+  | Dparallel_loop _ | Dlocalaccess _ ->
       (* Nested parallelism: the inner loop's iterations map to vector
          lanes. Executing them in order is a valid schedule; the launcher
          separately multiplies the thread count for occupancy. *)
       comp_stmt ctx inner
-  | Spragma (d, _) ->
+  | Ddata _ | Denter_data _ | Dexit_data _ | Dupdate_host _ | Dupdate_device _ ->
       Loc.error s.sloc "directive not allowed inside a kernel body: %s"
         (Pretty.directive_to_string d)
 
-and comp_block ctx body =
-  Frame.Layout.enter_scope ctx.layout;
-  let f = comp_block_no_scope ctx body in
-  Frame.Layout.leave_scope ctx.layout;
-  f
+(* Host directives compile to hook call-outs. Each site captures the names
+   visible to it, so a hook resolves them against the live frame. *)
+and comp_host_pragma ctx host s d inner =
+  let scope = Frame.Layout.snapshot ctx.layout in
+  let env fr = { host; frame = fr; scope; seq = None } in
+  let hooks = host.hooks in
+  let before hook arg =
+    let ci = comp_stmt ctx inner in
+    fun fr ->
+      hook (env fr) arg;
+      ci fr
+  in
+  match d with
+  | Ddata clauses ->
+      let ci = comp_stmt ctx inner in
+      fun fr ->
+        let env = env fr in
+        hooks.on_data_enter env clauses;
+        (try ci fr
+         with e ->
+           hooks.on_data_exit env clauses;
+           raise e);
+        hooks.on_data_exit env clauses
+  | Denter_data clauses -> before hooks.on_data_enter clauses
+  | Dexit_data clauses -> before hooks.on_data_exit clauses
+  | Dupdate_host subs -> before hooks.on_update_host subs
+  | Dupdate_device subs -> before hooks.on_update_device subs
+  | Dreduction_to_array _ ->
+      (* Outside a kernel, a reduction statement is just the statement. *)
+      comp_stmt ctx inner
+  | Dparallel_loop _ | Dlocalaccess _ -> (
+      match Loop_info.of_stmt ~loop_id:0 s with
+      | None ->
+          (* A localaccess stack with no parallel directive: just run it. *)
+          comp_stmt ctx inner
+      | Some proto -> comp_parallel_site ctx host s.sloc proto scope)
 
+(* A parallel loop fires [on_parallel_loop]; the hook may run the loop's
+   iterations in order on the host through the compiled [seq], whose loop
+   variable is a fresh slot (the host's own variable is left untouched). Loop
+   ids follow first execution, not compile order. *)
+and comp_parallel_site ctx host site_loc (proto : Loop_info.t) scope =
+  let loop_loc = proto.Loop_info.loop_loc in
+  let lo = comp_i ctx proto.Loop_info.lower in
+  let hi = comp_i ctx proto.Loop_info.upper in
+  let iv, body =
+    Frame.Layout.scoped ctx.layout (fun () ->
+        let iv = Frame.Layout.declare ctx.layout loop_loc proto.Loop_info.loop_var Tint in
+        (int_index iv, comp_block ctx proto.Loop_info.body))
+  in
+  let run fr =
+    let lo = lo fr in
+    let hi = hi fr in
+    for i = lo to hi - 1 do
+      Array.unsafe_set fr.Frame.ints iv i;
+      iteration loop_loc body fr
+    done
+  in
+  let loop = ref None in
+  fun fr ->
+    let l =
+      match !loop with
+      | Some l -> l
+      | None ->
+          let l = { proto with Loop_info.loop_id = loop_id_for host site_loc } in
+          loop := Some l;
+          l
+    in
+    host.hooks.on_parallel_loop { host; frame = fr; scope; seq = Some (loop_loc, run) } l
+
+and comp_block ctx body = Frame.Layout.scoped ctx.layout (fun () -> comp_block_no_scope ctx body)
 and comp_block_no_scope ctx body = seq (List.map (comp_stmt ctx) body)
 
 (* ------------------------------------------------------------------ *)
-(* Entry point.                                                        *)
+(* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let compile ~loop ~params ~classify =
   let layout = Frame.Layout.create () in
   let cost = Cost.zero () in
-  let ctx = { layout; cost; classify } in
-  let loop_loc = loop.Mgacc_analysis.Loop_info.loop_loc in
-  let iv_slot =
-    Frame.Layout.declare layout loop_loc loop.Mgacc_analysis.Loop_info.loop_var Tint
-  in
+  let ctx = { layout; cost; classify; host_ctx = None; ret = None } in
+  let loop_loc = loop.Loop_info.loop_loc in
+  let iv_slot = Frame.Layout.declare layout loop_loc loop.Loop_info.loop_var Tint in
   let param_slots =
     List.map (fun (name, ty) -> (name, Frame.Layout.declare layout loop_loc name ty, ty)) params
   in
-  let body = comp_block ctx loop.Mgacc_analysis.Loop_info.body in
-  let iv_index = match iv_slot with Frame.Int_slot i -> i | _ -> assert false in
+  let body = comp_block ctx loop.Loop_info.body in
+  let iv_index = int_index iv_slot in
   {
     run_iter =
       (fun fr i ->
         Array.unsafe_set fr.Frame.ints iv_index i;
-        body fr);
+        iteration loop_loc body fr);
     make_frame = (fun () -> Frame.create layout);
     params = param_slots;
     cost;
   }
+
+let run_main hooks prog (main : func) =
+  let host =
+    {
+      prog;
+      hooks;
+      fns = Hashtbl.create 8;
+      loop_ids = Hashtbl.create 8;
+      next_loop_id = 0;
+      sink = Cost.zero ();
+    }
+  in
+  let fn = fn_of host main.floc main.fname in
+  let body = Lazy.force fn.fn_body in
+  let frame = Frame.create fn.fn_layout in
+  (try body frame with Return -> ());
+  { host; frame; scope = Frame.Layout.snapshot fn.fn_layout; seq = None }
+
+let env_ctx env =
+  {
+    layout = env.scope;
+    cost = env.host.sink;
+    classify = host_classify;
+    host_ctx = Some env.host;
+    ret = None;
+  }
+
+let eval_int env e = comp_i (env_ctx env) e env.frame
+let eval_float env e = comp_f (env_ctx env) e env.frame
+let program_of env = env.host.prog

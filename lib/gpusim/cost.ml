@@ -35,6 +35,18 @@ let scale t k =
     random_bytes = t.random_bytes * k;
   }
 
+let charged t f =
+  let before = scale t 1 in
+  f ();
+  {
+    flops = t.flops - before.flops;
+    int_ops = t.int_ops - before.int_ops;
+    coalesced_bytes = t.coalesced_bytes - before.coalesced_bytes;
+    broadcast_bytes = t.broadcast_bytes - before.broadcast_bytes;
+    random_accesses = t.random_accesses - before.random_accesses;
+    random_bytes = t.random_bytes - before.random_bytes;
+  }
+
 let total_bytes t = t.coalesced_bytes + t.broadcast_bytes + t.random_bytes
 
 let is_zero t =

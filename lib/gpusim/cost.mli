@@ -1,7 +1,7 @@
 (** Dynamic operation counters accumulated while a kernel (or a CPU loop)
     executes functionally.
 
-    The executor increments these as it interprets each iteration; the GPU
+    The compiled kernel increments these as it executes each iteration; the GPU
     roofline model ({!Kernel_cost}) and the CPU model ({!Cpu_model}) turn the
     totals into simulated durations. Counts are totals over all iterations
     of a launch, not per-thread. *)
@@ -30,6 +30,10 @@ val add : t -> t -> unit
 val scale : t -> int -> t
 (** [scale t k] is a fresh record with every counter multiplied by [k]
     (used to extrapolate a sampled execution). *)
+
+val charged : t -> (unit -> unit) -> t
+(** [charged t f] runs [f] and returns what it added to the live counter
+    [t], as a fresh record. *)
 
 val total_bytes : t -> int
 val is_zero : t -> bool

@@ -1,47 +1,45 @@
-type t = { name : string; arity : int; result : Ast.typ; int_args : bool; flops : int }
+type fn =
+  | F1 of (float -> float)
+  | F2 of (float -> float -> float)
+  | I1 of (int -> int)
+  | I2 of (int -> int -> int)
 
-let d name arity flops = { name; arity; result = Ast.Tdouble; int_args = false; flops }
-let i name arity flops = { name; arity; result = Ast.Tint; int_args = true; flops }
+type t = { name : string; arity : int; result : Ast.typ; flops : int; fn : fn }
+
+let d1 name flops f = { name; arity = 1; result = Ast.Tdouble; flops; fn = F1 f }
+let d2 name flops f = { name; arity = 2; result = Ast.Tdouble; flops; fn = F2 f }
+let i1 name flops f = { name; arity = 1; result = Ast.Tint; flops; fn = I1 f }
+let i2 name flops f = { name; arity = 2; result = Ast.Tint; flops; fn = I2 f }
 
 let all =
   [
-    d "sqrt" 1 4;
-    d "fabs" 1 1;
-    d "exp" 1 8;
-    d "log" 1 8;
-    d "pow" 2 12;
-    d "sin" 1 8;
-    d "cos" 1 8;
-    d "floor" 1 1;
-    d "ceil" 1 1;
-    d "fmin" 2 1;
-    d "fmax" 2 1;
-    i "abs" 1 1;
-    i "min" 2 1;
-    i "max" 2 1;
+    d1 "sqrt" 4 sqrt;
+    d1 "fabs" 1 Float.abs;
+    d1 "exp" 8 exp;
+    d1 "log" 8 log;
+    d2 "pow" 12 Float.pow;
+    d1 "sin" 8 sin;
+    d1 "cos" 8 cos;
+    d1 "floor" 1 floor;
+    d1 "ceil" 1 ceil;
+    d2 "fmin" 1 Float.min;
+    d2 "fmax" 1 Float.max;
+    i1 "abs" 1 abs;
+    i2 "min" 1 (fun (x : int) y -> min x y);
+    i2 "max" 1 (fun (x : int) y -> max x y);
   ]
 
 let find name = List.find_opt (fun b -> b.name = name) all
 let is_builtin name = find name <> None
 
 let apply_double name args =
-  match (name, args) with
-  | "sqrt", [ x ] -> sqrt x
-  | "fabs", [ x ] -> Float.abs x
-  | "exp", [ x ] -> exp x
-  | "log", [ x ] -> log x
-  | "pow", [ x; y ] -> Float.pow x y
-  | "sin", [ x ] -> sin x
-  | "cos", [ x ] -> cos x
-  | "floor", [ x ] -> floor x
-  | "ceil", [ x ] -> ceil x
-  | "fmin", [ x; y ] -> Float.min x y
-  | "fmax", [ x; y ] -> Float.max x y
+  match (Option.map (fun b -> b.fn) (find name), args) with
+  | Some (F1 f), [ x ] -> f x
+  | Some (F2 f), [ x; y ] -> f x y
   | _ -> invalid_arg (Printf.sprintf "Builtins.apply_double: %s/%d" name (List.length args))
 
 let apply_int name args =
-  match (name, args) with
-  | "abs", [ x ] -> abs x
-  | "min", [ x; y ] -> min x y
-  | "max", [ x; y ] -> max x y
+  match (Option.map (fun b -> b.fn) (find name), args) with
+  | Some (I1 f), [ x ] -> f x
+  | Some (I2 f), [ x; y ] -> f x y
   | _ -> invalid_arg (Printf.sprintf "Builtins.apply_int: %s/%d" name (List.length args))

@@ -291,23 +291,13 @@ let on_update_device t env subs =
 
 (* ---------------- parallel loops ---------------- *)
 
-let param_types_of env plan =
-  List.map
-    (fun name ->
-      match Host_interp.find_array_opt env name with
-      | Some view -> (name, Ast.Tarray view.View.elem)
-      | None -> (
-          match Host_interp.get_scalar env name with
-          | Host_interp.Vint _ -> (name, Ast.Tint)
-          | Host_interp.Vfloat _ -> (name, Ast.Tdouble)))
-    plan.Kernel_plan.free_vars
-
 let compiled_for t env plan =
   let loc = plan.Kernel_plan.loop.Loop_info.loop_loc in
   match Hashtbl.find_opt t.compiled loc with
   | Some c -> c
   | None ->
-      let c = Launch.compile_kernel plan ~param_types:(param_types_of env plan) in
+      let param_types = Launch.param_types env plan.Kernel_plan.free_vars in
+      let c = Launch.compile_kernel plan ~param_types in
       Hashtbl.replace t.compiled loc c;
       c
 
@@ -1257,7 +1247,7 @@ let finish ?(keep_resident = false) t =
 
 let execute t program =
   (* Run the plans' own program: when fusion rewrote the source, the host
-     must interpret the rewritten loops the plans were built from (with
+     must run the rewritten loops the plans were built from (with
      the pass off this is physically the program that was passed in). *)
   ignore (program : Mgacc_minic.Ast.program);
   let env = Host_interp.run_program ~hooks:(hooks t) (Program_plan.program t.plans) in
@@ -1287,7 +1277,7 @@ let run ?config ?variant ?(with_blame = false) ~machine program =
   Machine.reset cfg.Rt_config.machine;
   let plans = Program_plan.build ~options:cfg.Rt_config.translator program in
   let t = create cfg plans in
-  (* Interpret the plans' program, not the input: fusion may have
+  (* Run the plans' program, not the input: fusion may have
      rewritten it (identical when the pass is off). *)
   let env = Host_interp.run_program ~hooks:(hooks t) (Program_plan.program plans) in
   finish t;

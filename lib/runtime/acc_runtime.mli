@@ -1,7 +1,7 @@
 (** The multi-GPU OpenACC runtime: the system of paper §IV-A.
 
     Wires the data loader, the kernel launcher and the inter-GPU
-    communication manager into the host interpreter's hooks. Each parallel
+    communication manager into the host program's hooks. Each parallel
     loop executes as one BSP step — load, compute, reconcile — with every
     movement charged to the simulated machine and accumulated in the
     profiler under the Fig. 8 categories.
@@ -30,7 +30,7 @@ val run :
 
 type t = Session.t
 (** An open runtime session, for callers that need to drive the host
-    interpreter themselves (the fleet creates these directly with
+    program themselves (the fleet creates these directly with
     [Session.create ~tenant ~start] on a shared machine). *)
 
 val create : Rt_config.t -> Mgacc_translator.Program_plan.t -> t
@@ -42,7 +42,7 @@ val finish : ?keep_resident:bool -> t -> unit
     flushed and allocations stay live for {!Session.spill_all}. *)
 
 val execute : t -> Mgacc_minic.Ast.program -> Mgacc_exec.Host_interp.env
-(** Drive one program through an existing session ([hooks] + interpret +
+(** Drive one program through an existing session ([hooks] + run +
     [finish], honoring the session's [keep_resident] config). *)
 
 val report : ?variant:string -> t -> Report.t

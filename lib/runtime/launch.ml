@@ -11,6 +11,28 @@ module Interval = Mgacc_util.Interval
 
 type compiled = { kc : Kernel_compile.t; param_types : (string * Ast.typ) list }
 
+let bind_scalar frame slot v =
+  match (slot, v) with
+  | Frame.Int_slot _, Host_interp.Vint n -> Frame.set_int frame slot n
+  | Frame.Int_slot _, Host_interp.Vfloat f -> Frame.set_int frame slot (int_of_float f)
+  | _, Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n)
+  | _, Host_interp.Vfloat f -> Frame.set_float frame slot f
+
+let scalar_of frame = function
+  | Frame.Int_slot _ as slot -> Host_interp.Vint (Frame.get_int frame slot)
+  | slot -> Host_interp.Vfloat (Frame.get_float frame slot)
+
+let param_types env names =
+  List.map
+    (fun name ->
+      match Host_interp.find_array_opt env name with
+      | Some view -> (name, Ast.Tarray view.View.elem)
+      | None -> (
+          match Host_interp.get_scalar env name with
+          | Host_interp.Vint _ -> (name, Ast.Tint)
+          | Host_interp.Vfloat _ -> (name, Ast.Tdouble)))
+    names
+
 let compile_kernel plan ~param_types =
   (* Under a 2-D plan the inner column loop is restricted to
      [[__col_lo, __col_hi)], bound per GPU at launch; with the sentinel
@@ -30,25 +52,6 @@ let compile_kernel plan ~param_types =
 exception Window_violation of { array : string; index : int; gpu : int; what : string }
 
 type gpu_run = { gpu : int; iterations : int; cost : Cost.t }
-
-let snapshot (c : Cost.t) =
-  { Cost.flops = c.Cost.flops;
-    int_ops = c.Cost.int_ops;
-    coalesced_bytes = c.Cost.coalesced_bytes;
-    broadcast_bytes = c.Cost.broadcast_bytes;
-    random_accesses = c.Cost.random_accesses;
-    random_bytes = c.Cost.random_bytes;
-  }
-
-let delta ~(before : Cost.t) ~(after : Cost.t) =
-  {
-    Cost.flops = after.Cost.flops - before.Cost.flops;
-    int_ops = after.Cost.int_ops - before.Cost.int_ops;
-    coalesced_bytes = after.Cost.coalesced_bytes - before.Cost.coalesced_bytes;
-    broadcast_bytes = after.Cost.broadcast_bytes - before.Cost.broadcast_bytes;
-    random_accesses = after.Cost.random_accesses - before.Cost.random_accesses;
-    random_bytes = after.Cost.random_bytes - before.Cost.random_bytes;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Views implementing the translator's instrumentation.                *)
@@ -367,47 +370,32 @@ let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~g
                 match (red_op, ty) with
                 | Some op, Ast.Tdouble -> Frame.set_float frame slot (View.redop_identity_f op)
                 | Some op, Ast.Tint -> Frame.set_int frame slot (View.redop_identity_i op)
-                | None, Ast.Tdouble -> (
-                    match get_scalar name with
-                    | Host_interp.Vfloat f -> Frame.set_float frame slot f
-                    | Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n))
-                | None, Ast.Tint -> (
-                    match get_scalar name with
-                    | Host_interp.Vint n -> Frame.set_int frame slot n
-                    | Host_interp.Vfloat f -> Frame.set_int frame slot (int_of_float f))
-                | _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
+                | None, _ -> bind_scalar frame slot (get_scalar name)
+                | Some _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
             | Ast.Tvoid -> assert false)
           compiled.kc.Kernel_compile.params;
-        let before = snapshot compiled.kc.Kernel_compile.cost in
-        for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
-          compiled.kc.Kernel_compile.run_iter frame i
-        done;
-        let after = snapshot compiled.kc.Kernel_compile.cost in
-        runs := { gpu; iterations; cost = delta ~before ~after } :: !runs;
+        let cost =
+          Cost.charged compiled.kc.Kernel_compile.cost (fun () ->
+              for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
+                compiled.kc.Kernel_compile.run_iter frame i
+              done)
+        in
+        runs := { gpu; iterations; cost } :: !runs;
         partial_frames := (gpu, frame) :: !partial_frames
       end)
     ranges;
   let scalar_partials =
     List.map
       (fun (op, name) ->
-        let slot_ty =
+        let slot =
           List.find_map
-            (fun (n, slot, ty) -> if n = name then Some (slot, ty) else None)
+            (fun (n, slot, _) -> if n = name then Some slot else None)
             compiled.kc.Kernel_compile.params
         in
-        match slot_ty with
+        match slot with
         | None -> (name, op, [])
-        | Some (slot, ty) ->
-            let values =
-              List.rev_map
-                (fun (_, frame) ->
-                  match ty with
-                  | Ast.Tdouble -> Host_interp.Vfloat (Frame.get_float frame slot)
-                  | Ast.Tint -> Host_interp.Vint (Frame.get_int frame slot)
-                  | _ -> assert false)
-                !partial_frames
-            in
-            (name, op, values))
+        | Some slot ->
+            (name, op, List.rev_map (fun (_, frame) -> scalar_of frame slot) !partial_frames))
       scalar_reductions
   in
   (List.rev !runs, scalar_partials)

@@ -13,6 +13,17 @@ type compiled = {
   param_types : (string * Ast.typ) list;
 }
 
+val param_types : Mgacc_exec.Host_interp.env -> string list -> (string * Ast.typ) list
+(** The host type of each named variable at a hook site: an array's element
+    type, else the scalar's. *)
+
+val bind_scalar :
+  Mgacc_exec.Frame.t -> Mgacc_exec.Frame.slot -> Mgacc_exec.Host_interp.value -> unit
+(** Store a host scalar into a kernel slot, converting it C-style to the
+    slot's type. *)
+
+val scalar_of : Mgacc_exec.Frame.t -> Mgacc_exec.Frame.slot -> Mgacc_exec.Host_interp.value
+
 val compile_kernel :
   Mgacc_translator.Kernel_plan.t ->
   param_types:(string * Ast.typ) list ->

@@ -17,17 +17,6 @@ type state = {
   mutable clock : float;
 }
 
-let param_types env loop =
-  List.map
-    (fun name ->
-      match Host_interp.find_array_opt env name with
-      | Some view -> (name, Ast.Tarray view.View.elem)
-      | None -> (
-          match Host_interp.get_scalar env name with
-          | Host_interp.Vint _ -> (name, Ast.Tint)
-          | Host_interp.Vfloat _ -> (name, Ast.Tdouble)))
-    (Loop_info.free_vars loop)
-
 let compiled_for st env (loop : Loop_info.t) =
   match Hashtbl.find_opt st.compiled loop.Loop_info.loop_loc with
   | Some kc -> kc
@@ -38,21 +27,10 @@ let compiled_for st env (loop : Loop_info.t) =
       let classify _array idx =
         match classify_site idx with Coalesce.Strided _ -> Coalesce.Coalesced | m -> m
       in
-      let kc = Kernel_compile.compile ~loop ~params:(param_types env loop) ~classify in
+      let params = Launch.param_types env (Loop_info.free_vars loop) in
+      let kc = Kernel_compile.compile ~loop ~params ~classify in
       Hashtbl.replace st.compiled loop.Loop_info.loop_loc kc;
       kc
-
-let snapshot (c : Cost.t) = Cost.scale c 1
-
-let delta ~(before : Cost.t) ~(after : Cost.t) =
-  {
-    Cost.flops = after.Cost.flops - before.Cost.flops;
-    int_ops = after.Cost.int_ops - before.Cost.int_ops;
-    coalesced_bytes = after.Cost.coalesced_bytes - before.Cost.coalesced_bytes;
-    broadcast_bytes = after.Cost.broadcast_bytes - before.Cost.broadcast_bytes;
-    random_accesses = after.Cost.random_accesses - before.Cost.random_accesses;
-    random_bytes = after.Cost.random_bytes - before.Cost.random_bytes;
-  }
 
 let on_parallel_loop st env (loop : Loop_info.t) =
   Profiler.incr_loops st.profiler;
@@ -64,32 +42,23 @@ let on_parallel_loop st env (loop : Loop_info.t) =
     (fun (name, slot, ty) ->
       match ty with
       | Ast.Tarray _ -> Frame.set_view frame slot (Host_interp.find_array env name)
-      | Ast.Tint -> (
-          match Host_interp.get_scalar env name with
-          | Host_interp.Vint n -> Frame.set_int frame slot n
-          | Host_interp.Vfloat f -> Frame.set_int frame slot (int_of_float f))
-      | Ast.Tdouble -> (
-          match Host_interp.get_scalar env name with
-          | Host_interp.Vfloat f -> Frame.set_float frame slot f
-          | Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n))
+      | Ast.Tint | Ast.Tdouble -> Launch.bind_scalar frame slot (Host_interp.get_scalar env name)
       | Ast.Tvoid -> assert false)
     kc.Kernel_compile.params;
-  let before = snapshot kc.Kernel_compile.cost in
-  for i = lo to hi - 1 do
-    kc.Kernel_compile.run_iter frame i
-  done;
-  let after = snapshot kc.Kernel_compile.cost in
+  let cost =
+    Cost.charged kc.Kernel_compile.cost (fun () ->
+        for i = lo to hi - 1 do
+          kc.Kernel_compile.run_iter frame i
+        done)
+  in
   (* Sequential in-order execution makes shared-scalar semantics exact:
      write every scalar parameter back (covers reduction variables). *)
   List.iter
     (fun (name, slot, ty) ->
       match ty with
-      | Ast.Tint -> Host_interp.set_scalar env name (Host_interp.Vint (Frame.get_int frame slot))
-      | Ast.Tdouble ->
-          Host_interp.set_scalar env name (Host_interp.Vfloat (Frame.get_float frame slot))
+      | Ast.Tint | Ast.Tdouble -> Host_interp.set_scalar env name (Launch.scalar_of frame slot)
       | Ast.Tarray _ | Ast.Tvoid -> ())
     kc.Kernel_compile.params;
-  let cost = delta ~before ~after in
   let _, finish =
     Machine.host_compute st.machine ~ready:st.clock ~threads:st.threads
       ~label:(Printf.sprintf "omp-loop%d" loop.Loop_info.loop_id)

@@ -1,7 +1,7 @@
 (** Whole-program translation: typecheck once, plan every parallel loop.
 
     Plans are indexed by the source location of the annotated loop, which
-    is how the runtime recognizes a loop when the host interpreter reaches
+    is how the runtime recognizes a loop when the host program reaches
     it (and how kernel compilations are cached across repeated
     executions of the same loop — the reuse that iterative applications
     depend on). *)
@@ -15,7 +15,7 @@ val build : ?options:Kernel_plan.options -> Ast.program -> t
     plan for every parallel loop in every function. Under
     [enable_fusion] the {!Fusion} pass rewrites the program first (and
     the rewrite is re-typechecked); {!program} then returns the fused
-    program, which is what the runtime must interpret. *)
+    program, which is what the runtime must run. *)
 
 val program : t -> Ast.program
 (** The planned program — the fusion pass's output when [enable_fusion]

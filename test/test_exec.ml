@@ -1,5 +1,6 @@
-(* Tests for the execution layer: views, frames, the host interpreter, and
-   the closure-compiling kernel executor with its cost accounting. *)
+(* Tests for the execution layer: views, frames, and the closure compiler —
+   host programs through Host_interp, kernels with their cost
+   accounting. *)
 
 open Mgacc_minic
 module View = Mgacc_exec.View
@@ -297,6 +298,190 @@ let test_extract_reduction_patterns () =
   | exception Loc.Error _ -> ()
   | _ -> Alcotest.fail "different subscript must fail"
 
+
+(* ---------------- One evaluator: host and kernel agree ---------------- *)
+
+let fails_at ~line ~msg f =
+  match f () with
+  | exception Loc.Error (loc, m) ->
+      check Alcotest.int "error line" line loc.Loc.line;
+      check Alcotest.string "error message" msg m
+  | _ -> Alcotest.failf "expected a located error: %s" msg
+
+let bind_all frame (kc : Kernel_compile.t) bindings =
+  List.iter
+    (fun (name, slot, _) ->
+      match List.assoc_opt name bindings with
+      | Some (`F f) -> Frame.set_float frame slot f
+      | Some (`I n) -> Frame.set_int frame slot n
+      | Some (`Vf a) -> Frame.set_view frame slot (View.of_float_array ~name a)
+      | Some (`Vi a) -> Frame.set_view frame slot (View.of_int_array ~name a)
+      | None -> ())
+    kc.Kernel_compile.params
+
+let test_kernel_double_truthiness () =
+  (* C truthiness: 0.5 is true. Every condition form must agree. *)
+  let src =
+    {|void main() { int n = 4; double a[n]; double h = 0.5; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  a[i] = 1.0;
+  if (h) { a[i] = 2.0; }
+  if (h && 1) { a[i] = a[i] + 10.0; }
+  if (0 || h) { a[i] = a[i] + 100.0; }
+  if (!h) { a[i] = 0.0; }
+  a[i] = a[i] + (h ? 1000.0 : 0.0);
+} }|}
+  in
+  let kc = compile_loop src ~params:[ ("a", Ast.Tarray Ast.Edouble); ("h", Ast.Tdouble) ] in
+  let frame = kc.Kernel_compile.make_frame () in
+  let a = Array.make 4 0.0 in
+  bind_all frame kc [ ("a", `Vf a); ("h", `F 0.5) ];
+  for i = 0 to 3 do
+    kc.Kernel_compile.run_iter frame i
+  done;
+  check (Alcotest.array (Alcotest.float 0.0)) "0.5 is true" (Array.make 4 1112.0) a;
+  (* The counters are the ones the truncating conditions charged: per
+     iteration 4 ifs + 1 ternary + 1 && + 1 || (int ops), one ! on a
+     double and three additions (flops); 5 writes and 3 reads of 8 bytes. *)
+  let c = kc.Kernel_compile.cost in
+  check Alcotest.int "int ops" (4 * 7) c.Cost.int_ops;
+  check Alcotest.int "flops" (4 * 4) c.Cost.flops;
+  check Alcotest.int "bytes" (4 * 8 * 8) c.Cost.coalesced_bytes;
+  (* The same program through the multi-GPU runtime matches the oracle. *)
+  let prog = Parser.parse ~file:"t.c" src in
+  let machine = Mgacc.Machine.desktop () in
+  let env, _ = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:2 machine) ~machine prog in
+  check (Alcotest.array (Alcotest.float 0.0)) "runtime vs oracle"
+    (Mgacc.float_results (Host_interp.run_program prog) "a")
+    (Mgacc.float_results env "a")
+
+let test_kernel_int_division_by_zero () =
+  let kernel op =
+    Printf.sprintf
+      {|void main() { int n = 4; int a[n]; int z = 0; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  %s
+} }|}
+      op
+  in
+  let run_kernel op =
+    let kc = compile_loop (kernel op) ~params:[ ("a", Ast.Tarray Ast.Eint); ("z", Ast.Tint) ] in
+    let frame = kc.Kernel_compile.make_frame () in
+    bind_all frame kc [ ("a", `Vi (Array.make 4 1)); ("z", `I 0) ];
+    kc.Kernel_compile.run_iter frame 0
+  in
+  fails_at ~line:4 ~msg:"integer division by zero" (fun () -> run_kernel "a[i] = i / z;");
+  fails_at ~line:4 ~msg:"integer modulo by zero" (fun () -> run_kernel "a[i] = i % z;");
+  fails_at ~line:4 ~msg:"integer division by zero" (fun () -> run_kernel "a[i] /= z;");
+  (* Through the runtime the error keeps its location: the CLI prints it
+     and exits 1. *)
+  let machine = Mgacc.Machine.desktop () in
+  fails_at ~line:4 ~msg:"integer division by zero" (fun () ->
+      Mgacc.run_acc ~machine (Parser.parse ~file:"t.c" (kernel "a[i] = i / z;")))
+
+let recording_hooks log =
+  {
+    Host_interp.sequential_hooks with
+    on_parallel_loop =
+      (fun env loop ->
+        log := (loop.Loop_info.loop_id, loop.Loop_info.loop_var) :: !log;
+        Host_interp.run_loop_sequentially env loop);
+  }
+
+let test_loop_ids_follow_execution () =
+  let src =
+    {|void f(double b[], int n) { int j;
+#pragma acc parallel loop
+for (j = 0; j < n; j++) { b[j] = b[j] + 1.0; } }
+void main() { int n = 4; double a[n]; int i; int k;
+for (k = 0; k < 2; k++) {
+  if (k == 1) {
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a[i] = a[i] * 2.0; }
+  }
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+}
+f(a, n); f(a, n); }|}
+  in
+  let log = ref [] in
+  let env = Host_interp.run_program ~hooks:(recording_hooks log) (Parser.parse ~file:"t" src) in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "ids in order of first execution"
+    [ (0, "i"); (1, "i"); (0, "i"); (2, "j"); (2, "j") ]
+    (List.rev !log);
+  check (Alcotest.float 0.0) "a" 5.0 (View.snapshot_f (Host_interp.find_array env "a")).(0)
+
+let test_hook_in_callee_sees_callee_names () =
+  let src =
+    {|void g(double b[], int m) { int j; double s = 0.0;
+#pragma acc data copy(b[0:m])
+{
+#pragma acc parallel loop
+for (j = 0; j < m; j++) { b[j] = 3.0; }
+}
+}
+void main() { int n = 5; double a[n]; g(a, n); }|}
+  in
+  let seen = ref [] in
+  let probe env =
+    let has name = Host_interp.find_array_opt env name <> None in
+    seen :=
+      (has "b", has "a", Host_interp.get_scalar env "m", Host_interp.get_scalar env "s") :: !seen
+  in
+  let hooks =
+    {
+      Host_interp.sequential_hooks with
+      on_data_enter = (fun env _ -> probe env);
+      on_parallel_loop =
+        (fun env loop ->
+          probe env;
+          Host_interp.set_scalar env "s" (Host_interp.Vfloat 1.5);
+          Host_interp.run_loop_sequentially env loop);
+    }
+  in
+  let env = Host_interp.run_program ~hooks (Parser.parse ~file:"t" src) in
+  let inside_g = (true, false, Host_interp.Vint 5, Host_interp.Vfloat 0.0) in
+  if List.rev !seen <> [ inside_g; inside_g ] then
+    Alcotest.fail "hooks inside g must see g's names only";
+  check (Alcotest.float 0.0) "callee wrote the caller's array" 3.0
+    (View.snapshot_f (Host_interp.find_array env "a")).(4)
+
+let test_break_escaping_parallel_loop () =
+  let src stmt =
+    Printf.sprintf
+      {|void main() { int n = 4; double a[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { if (i == 2) { %s } a[i] = 1.0; } }|}
+      stmt
+  in
+  let msg = "break/continue escaping a parallel loop iteration" in
+  fails_at ~line:3 ~msg (fun () -> run (src "break;"));
+  fails_at ~line:3 ~msg (fun () -> run (src "continue;"));
+  let kc = compile_loop (src "break;") ~params:[ ("a", Ast.Tarray Ast.Edouble) ] in
+  let frame = kc.Kernel_compile.make_frame () in
+  bind_all frame kc [ ("a", `Vf (Array.make 4 0.0)) ];
+  fails_at ~line:3 ~msg (fun () -> kc.Kernel_compile.run_iter frame 2)
+
+let test_host_errors_wait_for_execution () =
+  (* A host statement that cannot compile fails only when it runs, as it
+     would under a tree-walker. *)
+  let src flag =
+    Printf.sprintf
+      {|void v() { }
+void main() { int x = 0; int go = %d;
+  if (go) { x = v() ? 1 : 2; }
+}|}
+      flag
+  in
+  ignore (run (src 0));
+  match run (src 1) with
+  | exception Loc.Error (loc, _) -> check Alcotest.int "located" 3 loc.Loc.line
+  | _ -> Alcotest.fail "expected the executed statement to fail"
+
 let suite =
   [
     tc "view: float basics" test_view_float;
@@ -312,4 +497,10 @@ let suite =
     tc "kernel: control flow, ints, bit ops" test_kernel_control_flow_and_ints;
     tc "kernel: per-iteration local initialization" test_kernel_frame_reuse_between_iterations;
     tc "kernel: reduction statement extraction" test_extract_reduction_patterns;
+    tc "kernel: doubles are true when non-zero" test_kernel_double_truthiness;
+    tc "kernel: integer division by zero is located" test_kernel_int_division_by_zero;
+    tc "host: loop ids follow first execution" test_loop_ids_follow_execution;
+    tc "host: hooks in a callee see its names" test_hook_in_callee_sees_callee_names;
+    tc "host: break/continue escaping a parallel loop" test_break_escaping_parallel_loop;
+    tc "host: compile errors wait for execution" test_host_errors_wait_for_execution;
   ]

@@ -41,6 +41,24 @@ if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9
   echo "check.sh: accc accepted --gpus 9 on a 4-GPU machine" >&2
   exit 1
 fi
+# A kernel's integer division by zero is a user error: exit 1 with a
+# file:line:col message, never an uncaught exception.
+divz_tmp="$(mktemp -d)"
+cat > "$divz_tmp/divz.c" <<'SRC'
+void main() {
+  int n = 4; int a[n]; int i; int z = 0;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) { a[i] = i / z; }
+}
+SRC
+divz_status=0
+dune exec bin/accc.exe -- run "$divz_tmp/divz.c" > /dev/null 2> "$divz_tmp/err" || divz_status=$?
+if [ "$divz_status" -ne 1 ] || ! grep -q 'divz\.c:4:[0-9]*: integer division by zero' "$divz_tmp/err"; then
+  echo "check.sh: kernel division by zero did not exit 1 with a located message" >&2
+  cat "$divz_tmp/err" >&2
+  exit 1
+fi
+rm -rf "$divz_tmp"
 # Observability smoke: a traced run and a metered fleet replay, with the
 # emitted artifacts validated for internal consistency (the trace parses
 # and every flow event references a recorded span; every Prometheus
