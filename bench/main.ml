@@ -1141,7 +1141,9 @@ let fleet_bench scale ~smoke =
   let max_footprint =
     List.fold_left
       (fun acc (name, source) ->
-        let entry, _ = Mgacc.Plan_cache.lookup ~name cache source in
+        let entry, _ =
+          Mgacc.Plan_cache.lookup ~machine:(fresh ()).Machine.name ~name cache source
+        in
         max acc (Option.value ~default:(16 * 1024 * 1024) entry.Mgacc.Plan_cache.footprint_bytes))
       1 sources
   in

@@ -89,6 +89,12 @@ let check_against_reference program env =
       Ok ()
   | Error _ as e -> e
 
+let window_violation_message ~array ~index ~gpu ~what ~loc =
+  Printf.sprintf
+    "%s: localaccess violation on GPU %d: array %s index %d (%s) — the directive does not cover \
+     this access"
+    (Mgacc.Loc.to_string loc) gpu array index what
+
 let overlap_of = function
   | "on" -> Ok true
   | "off" -> Ok false
@@ -207,12 +213,8 @@ let run_cmd file machine_name variant gpus schedule_name overlap_name coherence_
         (Printf.sprintf "device %d out of memory: requested %s, available %s" device_id
            (Mgacc.Bytesize.to_string requested)
            (Mgacc.Bytesize.to_string available))
-  | Mgacc.Launch.Window_violation { array; index; gpu; what } ->
-      Error
-        (Printf.sprintf
-           "localaccess violation on GPU %d: array %s index %d (%s) — the directive does not \
-            cover this access"
-           gpu array index what)
+  | Mgacc.Launch.Window_violation { array; index; gpu; what; loc } ->
+      Error (window_violation_message ~array ~index ~gpu ~what ~loc)
 
 (* ---------------- scale ---------------- *)
 
@@ -256,8 +258,8 @@ let scale_cmd file machine_name =
     Ok ()
   with
   | Mgacc.Loc.Error (loc, msg) -> Error (Printf.sprintf "%s: %s" (Mgacc.Loc.to_string loc) msg)
-  | Mgacc.Launch.Window_violation { array; index; gpu; what } ->
-      Error (Printf.sprintf "localaccess violation on GPU %d: array %s index %d (%s)" gpu array index what)
+  | Mgacc.Launch.Window_violation { array; index; gpu; what; loc } ->
+      Error (window_violation_message ~array ~index ~gpu ~what ~loc)
 
 (* ---------------- serve ---------------- *)
 

@@ -10,9 +10,19 @@ module Layout = struct
     mutable n_floats : int;
     mutable n_views : int;
     mutable scopes : (string, slot * Ast.typ) Hashtbl.t list;
+    mutable int_consts : (int * int) list;
+    mutable float_consts : (int * float) list;
   }
 
-  let create () = { n_ints = 0; n_floats = 0; n_views = 0; scopes = [ Hashtbl.create 8 ] }
+  let create () =
+    {
+      n_ints = 0;
+      n_floats = 0;
+      n_views = 0;
+      scopes = [ Hashtbl.create 8 ];
+      int_consts = [];
+      float_consts = [];
+    }
 
   let scoped t f =
     let outer = t.scopes in
@@ -31,11 +41,21 @@ module Layout = struct
         View_slot (t.n_views - 1)
     | Ast.Tvoid -> invalid_arg "Frame.Layout.reserve: void slot"
 
-  let declare t loc name ty =
+  let const_int t n =
+    t.n_ints <- t.n_ints + 1;
+    t.int_consts <- (t.n_ints - 1, n) :: t.int_consts;
+    t.n_ints - 1
+
+  let const_float t v =
+    t.n_floats <- t.n_floats + 1;
+    t.float_consts <- (t.n_floats - 1, v) :: t.float_consts;
+    t.n_floats - 1
+
+  let declare ?slot t loc name ty =
     let scope = List.hd t.scopes in
     if Hashtbl.mem scope name then Loc.error loc "redeclaration of %s" name;
     if ty = Ast.Tvoid then Loc.error loc "void variable %s" name;
-    let slot = reserve t ty in
+    let slot = match slot with Some s -> s | None -> reserve t ty in
     Hashtbl.replace scope name (slot, ty);
     slot
 
@@ -44,15 +64,23 @@ module Layout = struct
     List.iter (Hashtbl.iter (Hashtbl.replace merged)) (List.rev t.scopes);
     { t with scopes = [ merged ] }
 
+  let beyond t ~ints ~floats =
+    { (snapshot t) with n_ints = max ints t.n_ints; n_floats = max floats t.n_floats }
+
   let lookup t name = List.find_map (fun scope -> Hashtbl.find_opt scope name) t.scopes
 end
 
 let create (layout : Layout.t) =
-  {
-    ints = Array.make (max 1 layout.Layout.n_ints) 0;
-    floats = Array.make (max 1 layout.Layout.n_floats) 0.0;
-    views = Array.make (max 1 layout.Layout.n_views) None;
-  }
+  let t =
+    {
+      ints = Array.make (max 1 layout.Layout.n_ints) 0;
+      floats = Array.make (max 1 layout.Layout.n_floats) 0.0;
+      views = Array.make (max 1 layout.Layout.n_views) None;
+    }
+  in
+  List.iter (fun (i, n) -> t.ints.(i) <- n) layout.Layout.int_consts;
+  List.iter (fun (i, v) -> t.floats.(i) <- v) layout.Layout.float_consts;
+  t
 
 let set_view t slot v =
   match slot with

@@ -21,12 +21,19 @@ module Layout : sig
   val scoped : t -> (unit -> 'a) -> 'a
   (** [scoped t f] runs [f] with a fresh innermost scope, left afterwards. *)
 
-  val declare : t -> Loc.t -> string -> Ast.typ -> slot
-  (** Assign a fresh slot; raises {!Loc.Error} on redeclaration in the same
-      scope or on a [void] declaration. *)
+  val declare : ?slot:slot -> t -> Loc.t -> string -> Ast.typ -> slot
+  (** Bind the name to [slot] (from {!reserve}), or else to a fresh slot;
+      raises {!Loc.Error} on redeclaration in the same scope or on a [void]
+      declaration. *)
 
   val reserve : t -> Ast.typ -> slot
   (** A fresh slot no name resolves to (a function's return value). *)
+
+  val const_int : t -> int -> int
+  (** A fresh int slot every frame of the layout starts holding [n]. *)
+
+  val const_float : t -> float -> int
+  (** A fresh float slot every frame of the layout starts holding [v]. *)
 
   val lookup : t -> string -> (slot * Ast.typ) option
   (** Innermost-scope-first lookup. *)
@@ -34,10 +41,16 @@ module Layout : sig
   val snapshot : t -> t
   (** The names visible now, frozen into a one-scope layout: later
       declarations in [t] do not show through it. *)
+
+  val beyond : t -> ints:int -> floats:int -> t
+  (** A snapshot whose fresh slots start at or past the given bank sizes,
+      so code compiled against it can run on a copy of a live frame of
+      those sizes without touching the live frame's slots. *)
 end
 
 val create : Layout.t -> t
-(** A zeroed frame sized for everything the layout ever declared. *)
+(** A frame sized for everything the layout ever declared: zeroed, apart
+    from its constant slots. *)
 
 val set_view : t -> slot -> View.t -> unit
 val get_view : t -> int -> View.t

@@ -2,6 +2,8 @@
 
     Code is compiled once into OCaml closures over a slotted {!Frame.t};
     running it is then just closure application with no name resolution.
+    Doubles move between slots of the frame's float bank, not as boxed
+    values (docs/PERF.md, "Kernel evaluator", lists the exceptions).
 
     {b Kernel mode} ({!compile}) compiles a parallel loop's body. The same
     compiled body serves every execution target — host OpenMP simulation,

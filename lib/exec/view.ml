@@ -5,6 +5,14 @@ type t = {
   name : string;
   elem : elem_ty;
   length : int;
+  fdata : float array;
+  idata : int array;
+  base : int;
+  read_lo : int;
+  read_hi : int;
+  write_lo : int;
+  write_hi : int;
+  wrote : (int -> unit) option;
   get_f : int -> float;
   set_f : int -> float -> unit;
   get_i : int -> int;
@@ -37,56 +45,68 @@ let redop_identity_i = function
   | Rmax -> min_int
   | Rmin -> max_int
 
-let wrong_type name what =
-  invalid_arg (Printf.sprintf "View: %s access on wrong-typed view %s" what name)
+let make ~name ~elem ~length ?(fdata = [||]) ?(idata = [||]) ?(base = 0) ?(read = (0, 0))
+    ?(write = (0, 0)) ?wrote ?get_f ?set_f ?get_i ?set_i ?reduce_f ?reduce_i () =
+  let wrong what = invalid_arg (Printf.sprintf "View: %s on %s" what name) in
+  let size = match elem with Edouble -> Array.length fdata | Eint -> Array.length idata in
+  let range what (lo, hi) =
+    if lo < hi && (lo - base < 0 || hi - base > size) then
+      invalid_arg (Printf.sprintf "View.make: %s range of %s exceeds its buffer" what name);
+    (lo, hi)
+  in
+  let read_lo, read_hi = range "read" read and write_lo, write_hi = range "write" write in
+  let not_reduction _ _ _ =
+    invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
+  in
+  {
+    name;
+    elem;
+    length;
+    fdata;
+    idata;
+    base;
+    read_lo;
+    read_hi;
+    write_lo;
+    write_hi;
+    wrote;
+    get_f = Option.value get_f ~default:(fun _ -> wrong "double read");
+    set_f = Option.value set_f ~default:(fun _ _ -> wrong "double write");
+    get_i = Option.value get_i ~default:(fun _ -> wrong "int read");
+    set_i = Option.value set_i ~default:(fun _ _ -> wrong "int write");
+    reduce_f = Option.value reduce_f ~default:not_reduction;
+    reduce_i = Option.value reduce_i ~default:not_reduction;
+  }
 
 let of_float_array ~name data =
   let n = Array.length data in
   let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
-  {
-    name;
-    elem = Edouble;
-    length = n;
-    get_f =
-      (fun i ->
-        check i;
-        Array.unsafe_get data i);
-    set_f =
-      (fun i v ->
-        check i;
-        Array.unsafe_set data i v);
-    get_i = (fun _ -> wrong_type name "int get");
-    set_i = (fun _ _ -> wrong_type name "int set");
-    reduce_f =
-      (fun op i v ->
-        check i;
-        Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) v));
-    reduce_i = (fun _ _ _ -> wrong_type name "int reduce");
-  }
+  make ~name ~elem:Edouble ~length:n ~fdata:data ~read:(0, n) ~write:(0, n)
+    ~get_f:(fun i ->
+      check i;
+      Array.unsafe_get data i)
+    ~set_f:(fun i v ->
+      check i;
+      Array.unsafe_set data i v)
+    ~reduce_f:(fun op i v ->
+      check i;
+      Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) v))
+    ()
 
 let of_int_array ~name data =
   let n = Array.length data in
   let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
-  {
-    name;
-    elem = Eint;
-    length = n;
-    get_i =
-      (fun i ->
-        check i;
-        Array.unsafe_get data i);
-    set_i =
-      (fun i v ->
-        check i;
-        Array.unsafe_set data i v);
-    get_f = (fun _ -> wrong_type name "float get");
-    set_f = (fun _ _ -> wrong_type name "float set");
-    reduce_i =
-      (fun op i v ->
-        check i;
-        Array.unsafe_set data i (apply_redop_i op (Array.unsafe_get data i) v));
-    reduce_f = (fun _ _ _ -> wrong_type name "float reduce");
-  }
+  make ~name ~elem:Eint ~length:n ~idata:data ~read:(0, n) ~write:(0, n)
+    ~get_i:(fun i ->
+      check i;
+      Array.unsafe_get data i)
+    ~set_i:(fun i v ->
+      check i;
+      Array.unsafe_set data i v)
+    ~reduce_i:(fun op i v ->
+      check i;
+      Array.unsafe_set data i (apply_redop_i op (Array.unsafe_get data i) v))
+    ()
 
 let snapshot_f v =
   match v.elem with

@@ -49,7 +49,13 @@ let compile_kernel plan ~param_types =
   in
   { kc; param_types }
 
-exception Window_violation of { array : string; index : int; gpu : int; what : string }
+exception Window_violation of {
+  array : string;
+  index : int;
+  gpu : int;
+  what : string;
+  loc : Loc.t;  (** the parallel loop whose directive misses the access *)
+}
 
 type gpu_run = { gpu : int; iterations : int; cost : Cost.t }
 
@@ -57,59 +63,38 @@ type gpu_run = { gpu : int; iterations : int; cost : Cost.t }
 (* Views implementing the translator's instrumentation.                *)
 (* ------------------------------------------------------------------ *)
 
-let no_reduce_f name : Ast.redop -> int -> float -> unit =
- fun _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
-
-let no_reduce_i name : Ast.redop -> int -> int -> unit =
- fun _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
-
 (* Replicated array on one GPU: direct access, dirty marking on writes. The
    dirty-bit instrumentation the translator inserts costs a couple of
    integer ops per write, charged to the kernel's cost record. *)
 let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost.t) =
   let buf = Darray.buf_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
-  let mark =
-    match dirty with
-    | Some d ->
-        fun i ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 2;
-          Dirty.mark d i
-    | None -> fun _ -> ()
+  let wrote =
+    Option.map
+      (fun d i ->
+        cost.Cost.int_ops <- cost.Cost.int_ops + 2;
+        Dirty.mark d i)
+      dirty
   in
+  let mark i = match wrote with Some w -> w i | None -> () in
+  let whole = (0, length) in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        get_f = (fun i -> data.(i));
-        set_f =
-          (fun i v ->
-            data.(i) <- v;
-            mark i);
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Edouble ~length ~fdata:data ~read:whole ~write:whole ?wrote
+        ~get_f:(fun i -> data.(i))
+        ~set_f:(fun i v ->
+          data.(i) <- v;
+          mark i)
+        ()
   | Ast.Eint ->
       let data = Memory.int_data buf in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i = (fun i -> data.(i));
-        set_i =
-          (fun i v ->
-            data.(i) <- v;
-            mark i);
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Eint ~length ~idata:data ~read:whole ~write:whole ?wrote
+        ~get_i:(fun i -> data.(i))
+        ~set_i:(fun i v ->
+          data.(i) <- v;
+          mark i)
+        ()
 
 (* Replicated array that is a reduction destination: reads see the
    pre-loop values; reduction updates go to the GPU's partial. *)
@@ -123,197 +108,97 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
         (Printf.sprintf "array %s: reduction operator mismatch (%s declared)" name
            (Ast.redop_to_string declared))
   in
+  let plain_write _ _ = invalid_arg (name ^ ": plain write to a reduction destination") in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        get_f = (fun i -> data.(i));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": plain write to a reduction destination"));
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
-        reduce_f =
-          (fun op i v ->
-            check op;
-            Reduction.reduce_f red ~gpu i v);
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Edouble ~length ~fdata:data ~read:(0, length)
+        ~get_f:(fun i -> data.(i))
+        ~set_f:plain_write
+        ~reduce_f:(fun op i v ->
+          check op;
+          Reduction.reduce_f red ~gpu i v)
+        ()
   | Ast.Eint ->
       let data = Memory.int_data buf in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i = (fun i -> data.(i));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": plain write to a reduction destination"));
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
-        reduce_i =
-          (fun op i v ->
-            check op;
-            Reduction.reduce_i red ~gpu i v);
-      }
-
-(* 2-D variant: the part's buffer is a packed [trow_win x tcol_win] box;
-   membership and offsets go through the tile-aware [Darray] helpers. The
-   instrumentation cost model is identical to the 1-D view (the 2-D index
-   arithmetic folds into the same address computation on real hardware). *)
-let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check ~(cost : Cost.t) =
-  let name = da.Darray.name and length = da.Darray.length in
-  let spec =
-    match da.Darray.state with Darray.Distributed d -> d.Darray.spec | _ -> assert false
-  in
-  let off i = Darray.offset_in_part spec part i in
-  let owns i = Darray.part_owns spec part i in
-  let check_read i =
-    if not (Darray.part_contains spec part i) then
-      raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
-  in
-  match da.Darray.elem with
-  | Ast.Edouble ->
-      let data = Memory.float_data part.Darray.buf in
-      let set_f i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if owns i then data.(off i) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 12;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vf v)
-          end
-        end
-        else if owns i then data.(off i) <- v
-        else
-          raise
-            (Window_violation
-               { array = name; index = i; gpu; what = "write outside owned tile (miss checks eliminated)" })
-      in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        get_f =
-          (fun i ->
-            check_read i;
-            data.(off i));
-        set_f;
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
-  | Ast.Eint ->
-      let data = Memory.int_data part.Darray.buf in
-      let set_i i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if owns i then data.(off i) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 8;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vi v)
-          end
-        end
-        else if owns i then data.(off i) <- v
-        else
-          raise
-            (Window_violation
-               { array = name; index = i; gpu; what = "write outside owned tile (miss checks eliminated)" })
-      in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            check_read i;
-            data.(off i));
-        set_i;
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Eint ~length ~idata:data ~read:(0, length)
+        ~get_i:(fun i -> data.(i))
+        ~set_i:plain_write
+        ~reduce_i:(fun op i v ->
+          check op;
+          Reduction.reduce_i red ~gpu i v)
+        ()
 
 (* Distributed array: logical indices translate into the partition; reads
    must stay in the declared window; writes are ownership-checked. When the
-   check is eliminated, an out-of-block write is a directive violation. *)
-let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
+   check is eliminated, an out-of-block write is a directive violation. A
+   1-D part is a window of the array, so in-window reads and owned writes
+   go straight to the buffer; a 2-D part is a packed [trow_win x tcol_win]
+   box whose membership and offsets go through the tile-aware [Darray]
+   helpers, so every access takes the closures. The instrumentation cost
+   model is identical in both (the 2-D index arithmetic folds into the same
+   address computation on real hardware). *)
+let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) ~loc =
   let part = Darray.part_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
-  match part.Darray.tile with
-  | Some _ -> tiled_distributed_view da part ~gpu ~miss_check ~cost
-  | None ->
-  let win = part.Darray.window and own = part.Darray.own in
-  let lo = win.Interval.lo in
-  let check_read i =
-    if not (Interval.contains win i) then
-      raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
+  let violation i what = raise (Window_violation { array = name; index = i; gpu; what; loc }) in
+  let contains, owns, off, read, write =
+    match (part.Darray.tile, da.Darray.state) with
+    | Some _, Darray.Distributed { Darray.spec; _ } ->
+        ( (fun i -> Darray.part_contains spec part i),
+          (fun i -> Darray.part_owns spec part i),
+          (fun i -> Darray.offset_in_part spec part i),
+          (0, 0),
+          (0, 0) )
+    | Some _, _ -> assert false
+    | None, _ ->
+        let win = part.Darray.window and own = part.Darray.own in
+        let lo = win.Interval.lo in
+        ( (fun i -> Interval.contains win i),
+          (fun i -> Interval.contains own i),
+          (fun i -> i - lo),
+          (lo, win.Interval.hi),
+          (own.Interval.lo, own.Interval.hi) )
+  in
+  let block = if part.Darray.tile = None then "block" else "tile" in
+  let base = fst read in
+  let wrote = if miss_check then Some (fun _ -> cost.Cost.int_ops <- cost.Cost.int_ops + 1) else None in
+  let check_read i = if not (contains i) then violation i "read outside window" in
+  (* Whether a write of [i] lands in the buffer. Counts the miss check; a
+     write outside the owned block is buffered when checked for, and a
+     violation when not. *)
+  let lands i =
+    if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+    owns i
+    || (not miss_check)
+       && violation i (Printf.sprintf "write outside owned %s (miss checks eliminated)" block)
+  in
+  (* [width] is the miss-buffer entry: the value plus a 4-byte index. *)
+  let miss ~width i v =
+    cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
+    cost.Cost.random_bytes <- cost.Cost.random_bytes + width;
+    Miss_buffer.record part.Darray.miss i v
   in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data part.Darray.buf in
-      let set_f i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if Interval.contains own i then data.(i - lo) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 12;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vf v)
-          end
-        end
-        else if Interval.contains own i then data.(i - lo) <- v
-        else raise (Window_violation { array = name; index = i; gpu; what = "write outside owned block (miss checks eliminated)" })
-      in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        get_f =
-          (fun i ->
-            check_read i;
-            data.(i - lo));
-        set_f;
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Edouble ~length ~fdata:data ~base ~read ~write ?wrote
+        ~get_f:(fun i ->
+          check_read i;
+          data.(off i))
+        ~set_f:(fun i v ->
+          if lands i then data.(off i) <- v else miss ~width:12 i (Miss_buffer.Vf v))
+        ()
   | Ast.Eint ->
       let data = Memory.int_data part.Darray.buf in
-      let set_i i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if Interval.contains own i then data.(i - lo) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 8;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vi v)
-          end
-        end
-        else if Interval.contains own i then data.(i - lo) <- v
-        else raise (Window_violation { array = name; index = i; gpu; what = "write outside owned block (miss checks eliminated)" })
-      in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            check_read i;
-            data.(i - lo));
-        set_i;
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      View.make ~name ~elem:Ast.Eint ~length ~idata:data ~base ~read ~write ?wrote
+        ~get_i:(fun i ->
+          check_read i;
+          data.(off i))
+        ~set_i:(fun i v -> if lands i then data.(off i) <- v else miss ~width:8 i (Miss_buffer.Vi v))
+        ()
 
-let view_for cfg plan ~gpu ~cost ~get_darray ~get_reduction name =
+let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
   let da = get_darray name in
   match get_reduction name with
   | Some red -> reduction_view da ~gpu red
@@ -325,16 +210,16 @@ let view_for cfg plan ~gpu ~cost ~get_darray ~get_reduction name =
             | Darray.Replicated r -> r.Darray.dirty.(gpu)
             | _ -> None
           in
-          ignore cfg;
           replicated_view da ~gpu ~dirty ~cost
       | Mgacc_analysis.Array_config.Distributed ->
-          distributed_view da ~gpu ~miss_check:(Kernel_plan.needs_miss_check plan name) ~cost)
+          distributed_view da ~gpu ~miss_check:(Kernel_plan.needs_miss_check plan name) ~cost
+            ~loc:plan.Kernel_plan.loop.Mgacc_analysis.Loop_info.loop_loc)
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
+let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
   let loop = plan.Kernel_plan.loop in
   let scalar_reductions = loop.Mgacc_analysis.Loop_info.scalar_reductions in
   let runs = ref [] in
@@ -353,7 +238,7 @@ let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~g
             match ty with
             | Ast.Tarray _ ->
                 Frame.set_view frame slot
-                  (view_for cfg plan ~gpu ~cost:compiled.kc.Kernel_compile.cost ~get_darray
+                  (view_for plan ~gpu ~cost:compiled.kc.Kernel_compile.cost ~get_darray
                      ~get_reduction name)
             | Ast.Tint when name = Tile2d.col_lo_param ->
                 Frame.set_int frame slot

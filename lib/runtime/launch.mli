@@ -33,10 +33,33 @@ val compile_kernel :
     iterate [[__col_lo, __col_hi)] and the two bounds are appended as int
     parameters, bound per GPU by {!run_on_gpus}. *)
 
-exception Window_violation of { array : string; index : int; gpu : int; what : string }
+exception Window_violation of {
+  array : string;
+  index : int;
+  gpu : int;
+  what : string;
+  loc : Loc.t;  (** the parallel loop whose directive misses the access *)
+}
 (** A kernel accessed an element outside what the [localaccess] directive
     declared — the directive is wrong (runtime validation of the paper's
     §III-C contract that iteration [i] stays inside its window). *)
+
+val replicated_view :
+  Darray.t -> gpu:int -> dirty:Dirty.t option -> cost:Mgacc_gpusim.Cost.t -> Mgacc_exec.View.t
+(** GPU [gpu]'s replica of a replicated array. Every index is direct; a
+    write marks [dirty] (when tracking) and charges two int ops to [cost]. *)
+
+val distributed_view :
+  Darray.t ->
+  gpu:int ->
+  miss_check:bool ->
+  cost:Mgacc_gpusim.Cost.t ->
+  loc:Loc.t ->
+  Mgacc_exec.View.t
+(** GPU [gpu]'s part of a distributed array: direct in-window reads and
+    owned writes on a 1-D part, closures only on a 2-D part. A read outside
+    the window raises {!Window_violation} at [loc]; so does a write outside
+    the owned block, unless [miss_check] buffers it. *)
 
 type gpu_run = {
   gpu : int;
@@ -45,7 +68,6 @@ type gpu_run = {
 }
 
 val run_on_gpus :
-  Rt_config.t ->
   ?col_bounds:(int * int) array ->
   Mgacc_translator.Kernel_plan.t ->
   compiled ->

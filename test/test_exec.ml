@@ -482,6 +482,334 @@ void main() { int x = 0; int go = %d;
   | exception Loc.Error (loc, _) -> check Alcotest.int "located" 3 loc.Loc.line
   | _ -> Alcotest.fail "expected the executed statement to fail"
 
+(* ---------------- The unboxed evaluator ---------------- *)
+
+module Darray = Mgacc_runtime.Darray
+module Launch = Mgacc_runtime.Launch
+module Memory = Mgacc_gpusim.Memory
+
+let cost_fields (c : Cost.t) =
+  [ c.Cost.flops; c.Cost.int_ops; c.Cost.coalesced_bytes; c.Cost.broadcast_bytes;
+    c.Cost.random_accesses; c.Cost.random_bytes ]
+
+let test_kernel_allocation_gate () =
+  (* The kmeans assignment kernel: doubles stay in the frame, so running it
+     allocates nothing per iteration. *)
+  let src =
+    {|void main() { int n = 10000; int f = 4; int k = 3; double x[n*f]; double centers[k*f];
+  int membership[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  double best = 1.0e30; int bc = 0; int c; int j2;
+  for (c = 0; c < k; c++) {
+    double dist = 0.0;
+    for (j2 = 0; j2 < f; j2++) {
+      double d = x[i*f + j2] - centers[c*f + j2];
+      dist = dist + d*d;
+    }
+    if (dist < best) { best = dist; bc = c; }
+  }
+  if (bc != membership[i]) { membership[i] = bc; }
+} }|}
+  in
+  let n = 10000 and f = 4 and k = 3 in
+  let kc =
+    compile_loop src
+      ~params:
+        [ ("n", Ast.Tint); ("f", Ast.Tint); ("k", Ast.Tint); ("x", Ast.Tarray Ast.Edouble);
+          ("centers", Ast.Tarray Ast.Edouble); ("membership", Ast.Tarray Ast.Eint) ]
+  in
+  let x = Array.init (n * f) (fun i -> float_of_int ((i * 7919) mod 101)) in
+  let centers = Array.sub x 0 (k * f) and membership = Array.make n (-1) in
+  let frame = kc.Kernel_compile.make_frame () in
+  bind_all frame kc
+    [ ("n", `I n); ("f", `I f); ("k", `I k); ("x", `Vf x); ("centers", `Vf centers);
+      ("membership", `Vi membership) ];
+  kc.Kernel_compile.run_iter frame 0;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    kc.Kernel_compile.run_iter frame i
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > float_of_int n then
+    Alcotest.failf "%.0f minor words over %d iterations (at most 1 per iteration)" words n;
+  let nearest i =
+    let dist c =
+      List.fold_left ( +. ) 0.0
+        (List.init f (fun j -> (x.((i * f) + j) -. centers.((c * f) + j)) ** 2.0))
+    in
+    List.fold_left (fun b c -> if dist c < dist b then c else b) 0 [ 1; 2 ]
+  in
+  check Alcotest.int "nearest center" (nearest 4321) membership.(4321)
+
+(* Views whose direct ranges are empty take the checked closures for every
+   access: the reference the direct path must match bit for bit. *)
+let checked (v : View.t) = { v with View.read_lo = 0; read_hi = 0; write_lo = 0; write_hi = 0 }
+
+(* [run strip] observes one run with every view passed through [strip]. *)
+let direct_equals_checked what run =
+  if run Fun.id <> run checked then Alcotest.failf "%s: direct and checked views differ" what
+
+let bits = Array.map Int64.bits_of_float
+
+let edge_src =
+  {|void main() { int n = 16; double a[n]; double b[n]; int c[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  double l = (i > 0) ? b[i-1] : 0.0;
+  double r = (i < n - 1) ? b[i+1] : 0.0;
+  a[i] = l + 0.5 * r;
+  a[i] += b[i];
+  c[i] = c[i] * 2 + i;
+  c[i] -= 1;
+  if (i % 8 == 7 && i + 1 < n) { a[i+1] = -1.0; c[i+1] = -1; }
+} }|}
+
+(* Reads two past the iteration: out of bounds at the end of a host array,
+   out of the window at the end of a distributed part. *)
+let past_src =
+  {|void main() { int n = 16; double a[n]; double b[n]; int c[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a[i] = b[i + 2]; } }|}
+
+let edge_params =
+  [ ("n", Ast.Tint); ("a", Ast.Tarray Ast.Edouble); ("b", Ast.Tarray Ast.Edouble);
+    ("c", Ast.Tarray Ast.Eint) ]
+
+(* Run [src] over [lo, hi) with the views [view] builds from the kernel's
+   cost record: the cost's fields, or the error that stopped the run. *)
+let run_edge ~src ~view ~lo ~hi =
+  let kc = compile_loop src ~params:edge_params in
+  let frame = kc.Kernel_compile.make_frame () in
+  List.iter
+    (fun (name, slot, _) ->
+      if name = "n" then Frame.set_int frame slot 16
+      else Frame.set_view frame slot (view kc.Kernel_compile.cost name))
+    kc.Kernel_compile.params;
+  match
+    for i = lo to hi - 1 do
+      kc.Kernel_compile.run_iter frame i
+    done
+  with
+  | () -> Ok (cost_fields kc.Kernel_compile.cost)
+  | exception View.Bounds { name; index; _ } -> Error (name, index, "bounds", 0)
+  | exception Launch.Window_violation { array; index; what; loc; _ } ->
+      Error (array, index, what, loc.Loc.line)
+
+let edge_data () =
+  ( Array.init 16 (fun i -> float_of_int i /. 3.0),
+    Array.init 16 (fun i -> float_of_int (i * i)),
+    Array.init 16 (fun i -> (3 * i) - 7) )
+
+let test_direct_equals_checked_host () =
+  let run src strip =
+    let a, b, c = edge_data () in
+    let views =
+      [ ("a", View.of_float_array ~name:"a" a); ("b", View.of_float_array ~name:"b" b);
+        ("c", View.of_int_array ~name:"c" c) ]
+    in
+    let outcome = run_edge ~src ~view:(fun _ name -> strip (List.assoc name views)) ~lo:0 ~hi:16 in
+    (outcome, bits a, c)
+  in
+  direct_equals_checked "host views" (run edge_src);
+  direct_equals_checked "host views, out of bounds" (run past_src);
+  match run past_src Fun.id with
+  | Error ("b", 16, "bounds", _), _, _ -> ()
+  | _ -> Alcotest.fail "expected View.Bounds on b[16]"
+
+let two_gpus () = Mgacc_runtime.Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ())
+
+let edge_darrays cfg =
+  let a, b, c = edge_data () in
+  ( Darray.create cfg ~name:"a" ~host:(View.of_float_array ~name:"a" a),
+    Darray.create cfg ~name:"b" ~host:(View.of_float_array ~name:"b" b),
+    Darray.create cfg ~name:"c" ~host:(View.of_int_array ~name:"c" c) )
+
+let test_direct_equals_checked_replicated () =
+  let run strip =
+    let cfg = two_gpus () in
+    let a, b, c = edge_darrays cfg in
+    List.iter (fun da -> ignore (Darray.ensure_replicated cfg da ~dirty_tracking:true)) [ a; b; c ];
+    let dirty da = (Darray.replica_of da).Darray.dirty.(0) in
+    let view cost name =
+      let da = List.assoc name [ ("a", a); ("b", b); ("c", c) ] in
+      strip (Launch.replicated_view da ~gpu:0 ~dirty:(dirty da) ~cost)
+    in
+    let outcome = run_edge ~src:edge_src ~view ~lo:0 ~hi:16 in
+    let runs da = Mgacc_runtime.Dirty.dirty_runs (Option.get (dirty da)) in
+    ( outcome,
+      bits (Memory.float_data (Darray.buf_for a ~gpu:0)),
+      Memory.int_data (Darray.buf_for c ~gpu:0),
+      Mgacc_util.Interval.Set.to_list (runs a),
+      Mgacc_util.Interval.Set.to_list (runs c) )
+  in
+  direct_equals_checked "replicated views with dirty tracking" run;
+  match run Fun.id with
+  | Ok cost, _, _, _ :: _, _ :: _ ->
+      check Alcotest.bool "two int ops per marked write" true (List.nth cost 1 > 0)
+  | _ -> Alcotest.fail "expected marked dirty runs"
+
+let test_direct_equals_checked_distributed () =
+  let loc = { Loc.dummy with Loc.line = 42 } in
+  let run src ~miss_check strip =
+    let cfg = two_gpus () in
+    let a, b, c = edge_darrays cfg in
+    let ranges = Mgacc_runtime.Task_map.split ~lower:0 ~upper:16 ~parts:2 in
+    let spec halo = { Darray.stride = 1; left = halo; right = halo; tile = None } in
+    ignore (Darray.ensure_distributed cfg a ~spec:(spec 0) ~ranges);
+    ignore (Darray.ensure_distributed cfg b ~spec:(spec 1) ~ranges);
+    ignore (Darray.ensure_distributed cfg c ~spec:(spec 0) ~ranges);
+    (* GPU 0 owns [0, 8) and reads b over [0, 9); GPU 1 owns [8, 16) and
+       reads b over [7, 16): the edges, and writes a[8], c[8] from GPU 0. *)
+    List.map
+      (fun gpu ->
+        let view cost name =
+          let da = List.assoc name [ ("a", a); ("b", b); ("c", c) ] in
+          strip (Launch.distributed_view da ~gpu ~miss_check ~cost ~loc)
+        in
+        let r = ranges.(gpu) in
+        let outcome = run_edge ~src ~view ~lo:r.Mgacc_runtime.Task_map.start_ ~hi:r.stop_ in
+        let part da = Darray.part_for da ~gpu in
+        let misses da = Mgacc_runtime.Miss_buffer.entries (part da).Darray.miss in
+        ( outcome,
+          bits (Memory.float_data (part a).Darray.buf),
+          Memory.int_data (part c).Darray.buf,
+          misses a,
+          misses c ))
+      [ 0; 1 ]
+  in
+  direct_equals_checked "miss-checked writes" (run edge_src ~miss_check:true);
+  direct_equals_checked "eliminated miss checks" (run edge_src ~miss_check:false);
+  direct_equals_checked "read past the window" (run past_src ~miss_check:true);
+  (match run edge_src ~miss_check:true Fun.id with
+  | (Ok _, _, _, [ (8, _) ], [ (8, _) ]) :: _ -> ()
+  | _ -> Alcotest.fail "checked writes outside the owned block must be buffered");
+  (match run edge_src ~miss_check:false Fun.id with
+  | (Error ("a", 8, _, 42), _, _, _, _) :: _ -> ()
+  | _ -> Alcotest.fail "an unchecked write outside the owned block must be a located violation");
+  match run past_src ~miss_check:true Fun.id with
+  | (Error ("b", 9, "read outside window", 42), _, _, _, _) :: _ -> ()
+  | _ -> Alcotest.fail "a read past the window must be a located violation"
+
+(* Counted loops run natively; every case must keep the arrays, final
+   scalars and counters the general loop gives (pinned from it). *)
+let counted_cases =
+  [
+    ("zero trips", "for (j = 5; j < m; j++) { s = s + j; }");
+    ("trips follow the iteration", "for (j = 0; j < i; j++) { s = s + j; }");
+    ("literal bound", "for (j = 0; j < 4; j++) { s = s + j * j; }");
+    ("body assigns the bound", "for (j = 0; j < lim; j++) { lim = lim - 1; s = s + 1; }");
+    ("body assigns the variable", "for (j = 0; j < 8; j++) { j = j + 1; s = s + j; }");
+    ( "break and continue",
+      "for (j = 0; j < 10; j++) { if (j == 3) { continue; } if (j == 6) { break; } s = s + j; }" );
+    ("less or equal", "for (j = 0; j <= m; j++) { s = s + j; }");
+    ("decrementing", "for (j = m; j > 0; j--) { s = s + j; }");
+    ( "break in a nested loop",
+      "for (j = 0; j < m; j++) { for (q = 0; q < 10; q++) { if (q == j) { break; } s = s + q; } }" );
+    ("double body", "for (j = 0; j < m; j++) { d = d + 0.5 * j; } s = (int)(d * 10.0);");
+  ]
+
+let run_counted body =
+  let src =
+    Printf.sprintf
+      {|void main() { int n = 3; int m = 3; int out[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  int j = -1; int q; int s = 0; int lim = 4; double d = 0.25;
+  %s
+  out[i] = j * 1000 + s * 10 + lim;
+} }|}
+      body
+  in
+  let kc = compile_loop src ~params:[ ("n", Ast.Tint); ("m", Ast.Tint); ("out", Ast.Tarray Ast.Eint) ] in
+  let frame = kc.Kernel_compile.make_frame () in
+  let out = Array.make 3 0 in
+  bind_all frame kc [ ("n", `I 3); ("m", `I 3); ("out", `Vi out) ];
+  for i = 0 to 2 do
+    kc.Kernel_compile.run_iter frame i
+  done;
+  (out, cost_fields kc.Kernel_compile.cost)
+
+let counted_expected =
+  [
+    ([| 5004; 5004; 5004 |], [ 0; 21; 12; 0; 0; 0 ]); (* zero trips *)
+    ([| 4; 1004; 2014 |], [ 0; 33; 12; 0; 0; 0 ]); (* trips follow the iteration *)
+    ([| 4144; 4144; 4144 |], [ 0; 81; 12; 0; 0; 0 ]); (* literal bound *)
+    ([| 2022; 2022; 2022 |], [ 0; 51; 12; 0; 0; 0 ]); (* body assigns the bound *)
+    ([| 8164; 8164; 8164 |], [ 0; 81; 12; 0; 0; 0 ]); (* body assigns the variable *)
+    ([| 6124; 6124; 6124 |], [ 0; 168; 12; 0; 0; 0 ]); (* break and continue *)
+    ([| 4064; 4064; 4064 |], [ 0; 69; 12; 0; 0; 0 ]); (* less or equal *)
+    ([| 64; 64; 64 |], [ 0; 57; 12; 0; 0; 0 ]); (* decrementing *)
+    ([| 3014; 3014; 3014 |], [ 0; 138; 12; 0; 0; 0 ]); (* break in a nested loop *)
+    ([| 3174; 3174; 3174 |], [ 21; 51; 12; 0; 0; 0 ]); (* double body *)
+  ]
+
+let test_counted_loops () =
+  List.iter2
+    (fun (name, body) (out, cost) ->
+      let out', cost' = run_counted body in
+      check (Alcotest.array Alcotest.int) (name ^ ": results") out out';
+      check (Alcotest.list Alcotest.int) (name ^ ": cost") cost cost')
+    counted_cases counted_expected
+
+let test_counted_host_loop_with_parallel_site () =
+  let src =
+    {|void main() { int n = 4; double a[n]; int i; int it; int count = 0;
+for (it = 0; it < 3; it++) {
+  count = count + 1;
+#pragma acc parallel loop
+  for (i = 0; i < n; i++) { a[i] = a[i] + it; }
+}
+a[0] = a[0] + 100 * it + count; }|}
+  in
+  let log = ref [] in
+  let env = Host_interp.run_program ~hooks:(recording_hooks log) (Parser.parse ~file:"t" src) in
+  check Alcotest.int "one hook per trip" 3 (List.length !log);
+  check (Alcotest.array (Alcotest.float 0.0)) "arrays" [| 306.0; 3.0; 3.0; 3.0 |]
+    (View.snapshot_f (Host_interp.find_array env "a"));
+  check Alcotest.bool "final scalars" true
+    (Host_interp.get_scalar env "it" = Host_interp.Vint 3
+    && Host_interp.get_scalar env "count" = Host_interp.Vint 3)
+
+let test_kernel_user_call_located () =
+  let src =
+    {|double sq(double v) { return v * v; }
+void main() { int n = 4; double a[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a[i] = sq(i); } }|}
+  in
+  let msg = "user function calls are not allowed in kernels: sq" in
+  fails_at ~line:4 ~msg (fun () -> compile_loop src ~params:[ ("a", Ast.Tarray Ast.Edouble) ]);
+  let machine = Mgacc.Machine.desktop () in
+  fails_at ~line:4 ~msg (fun () -> Mgacc.run_acc ~machine (Parser.parse ~file:"t.c" src))
+
+let test_eval_keeps_live_slots () =
+  (* An expression a hook evaluates gets temporaries and constants; they
+     must not take the slots of code compiled after the site (here [later]
+     and its constant 7.0). *)
+  let src =
+    {|void main() { int n = 4; double a[n]; double h = 1.5; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a[i] = h; }
+double later = 7.0; int k = 9; a[0] = later + k; }|}
+  in
+  let seen = ref [] in
+  let hooks =
+    {
+      Host_interp.sequential_hooks with
+      on_parallel_loop =
+        (fun env loop ->
+          let e = Parser.parse_expr ~file:"e" in
+          let f = Host_interp.eval_float env (e "h * 2.0 + n / 2") in
+          seen := (f, Host_interp.eval_int env (e "n * 3 + 1")) :: !seen;
+          Host_interp.run_loop_sequentially env loop);
+    }
+  in
+  let env = Host_interp.run_program ~hooks (Parser.parse ~file:"t" src) in
+  check Alcotest.(list (pair (float 0.0) int)) "evaluated" [ (5.0, 13) ] !seen;
+  check (Alcotest.float 0.0) "later variables intact" 16.0
+    (View.snapshot_f (Host_interp.find_array env "a")).(0)
+
 let suite =
   [
     tc "view: float basics" test_view_float;
@@ -503,4 +831,12 @@ let suite =
     tc "host: hooks in a callee see its names" test_hook_in_callee_sees_callee_names;
     tc "host: break/continue escaping a parallel loop" test_break_escaping_parallel_loop;
     tc "host: compile errors wait for execution" test_host_errors_wait_for_execution;
+    tc "kernel: no allocation per iteration" test_kernel_allocation_gate;
+    tc "kernel: direct = checked, host views" test_direct_equals_checked_host;
+    tc "kernel: direct = checked, replicated views" test_direct_equals_checked_replicated;
+    tc "kernel: direct = checked, distributed views" test_direct_equals_checked_distributed;
+    tc "kernel: counted loops keep results and cost" test_counted_loops;
+    tc "host: counted loop around a parallel site" test_counted_host_loop_with_parallel_site;
+    tc "kernel: user calls are located errors" test_kernel_user_call_located;
+    tc "host: eval keeps the live frame's slots" test_eval_keeps_live_slots;
   ]

@@ -174,6 +174,18 @@ let test_cache_measurements () =
   check Alcotest.bool "non-positive footprint keeps previous" true
     (e.Plan_cache.measured_seconds = Some 0.5 && e.Plan_cache.footprint_bytes = Some 4096)
 
+let test_warmup_primes_machine_keyed_entry () =
+  (* Fleet.run keys its entries by machine: a lookup by the same machine's
+     name finds the measured footprint a warm-up run recorded. *)
+  let machine = Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
+  let cache = Plan_cache.create () in
+  let config = Fleet.configure ~policy:Fleet.Fifo ~keep_warm:true machine in
+  ignore
+    (Fleet.run ~cache config [ Job.make ~id:0 ~tenant:"warmup" ~name:"a.c" ~source:saxpy_src ~submit:0.0 ]);
+  let entry, hit = Plan_cache.lookup ~machine:machine.Machine.name ~name:"a.c" cache saxpy_src in
+  check Alcotest.bool "hit" true hit;
+  check Alcotest.bool "footprint recorded" true (entry.Plan_cache.footprint_bytes <> None)
+
 (* ---------------- darray spill / restore ---------------- *)
 
 let test_spill_then_restore_value_identical () =
@@ -459,6 +471,7 @@ let suite =
     tc "plan cache keys on machine shape and decomposition"
       test_cache_distinguishes_machine_and_decomp;
     tc "plan cache execution profiles" test_cache_measurements;
+    tc "a warm-up run primes the machine's entry" test_warmup_primes_machine_keyed_entry;
     tc "spilled-then-restored darray is value-identical" test_spill_then_restore_value_identical;
     tc "session spill_all empties the warm pool" test_session_spill_all;
     tc "admission: budget, waiting, impossibility" test_admission_basic;

@@ -58,6 +58,42 @@ if [ "$divz_status" -ne 1 ] || ! grep -q 'divz\.c:4:[0-9]*: integer division by 
   cat "$divz_tmp/err" >&2
   exit 1
 fi
+# A user-function call inside a kernel is a user error too: exit 1 with
+# the call's location.
+cat > "$divz_tmp/ucall.c" <<'SRC'
+double sq(double v) { return v * v; }
+void main() {
+  int n = 4; double a[n]; int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) { a[i] = sq(i); }
+}
+SRC
+ucall_status=0
+dune exec bin/accc.exe -- run "$divz_tmp/ucall.c" > /dev/null 2> "$divz_tmp/err" || ucall_status=$?
+if [ "$ucall_status" -ne 1 ] \
+  || ! grep -q 'ucall\.c:5:[0-9]*: user function calls are not allowed in kernels: sq' "$divz_tmp/err"; then
+  echo "check.sh: a kernel user call did not exit 1 with a located message" >&2
+  cat "$divz_tmp/err" >&2
+  exit 1
+fi
+# A localaccess clause that understates a kernel's reads is caught at run
+# time on the GPU that reads outside its window: exit 1 naming the loop.
+cat > "$divz_tmp/lying.c" <<'SRC'
+void main() {
+  int n = 64; double a[n]; double b[n]; int i;
+  for (i = 0; i < n; i++) { a[i] = i; }
+  #pragma acc parallel loop localaccess(a: stride(1))
+  for (i = 0; i < n; i++) { b[i] = a[(i + 32) % n]; }
+}
+SRC
+lying_status=0
+dune exec bin/accc.exe -- run "$divz_tmp/lying.c" --gpus 2 > /dev/null 2> "$divz_tmp/err" \
+  || lying_status=$?
+if [ "$lying_status" -ne 1 ] || ! grep -q 'lying\.c:5:[0-9]*: localaccess violation' "$divz_tmp/err"; then
+  echo "check.sh: a lying localaccess clause did not exit 1 with a located message" >&2
+  cat "$divz_tmp/err" >&2
+  exit 1
+fi
 rm -rf "$divz_tmp"
 # Observability smoke: a traced run and a metered fleet replay, with the
 # emitted artifacts validated for internal consistency (the trace parses
